@@ -80,14 +80,17 @@ def read_hyperparams(path: str | None, N: int) -> model.HyperParams:
         return model.default_hyperparams(N)
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    return model.HyperParams(
-        a0=raw["a0"],
-        b0=raw["b0"],
-        q0=raw["q0"],
-        n0=raw["n0"],
-        K0=np.asarray(raw["K0"], dtype=float),
-        Lambda0=np.asarray(raw["Lambda0"], dtype=float),
-    )
+    try:
+        return model.HyperParams(
+            a0=raw["a0"],
+            b0=raw["b0"],
+            q0=raw["q0"],
+            n0=raw["n0"],
+            K0=np.asarray(raw["K0"], dtype=float),
+            Lambda0=np.asarray(raw["Lambda0"], dtype=float),
+        )
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing hyperparameter {exc.args[0]!r}") from None
 
 
 def write_profiles_csv(path: str, profiles) -> None:
@@ -152,14 +155,13 @@ def _plan(args) -> linalg.ExecPlan:
         workers = 1
     elif workers <= 1:
         workers = os.cpu_count() or 1
-    return linalg.ExecPlan(workers=workers, deterministic=args.deterministic)
+    return linalg.ExecPlan(workers=workers)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parallel", choices=["serial", "parallel"], default="serial")
     p.add_argument("--workers", type=int, default=None, help=f"worker count (overrides ${WORKERS_ENV})")
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction, default=True)
 
 
 def _parse_lambda(spec: str, dim: int) -> np.ndarray:
@@ -293,7 +295,8 @@ def _fit_em(ds, hp, args, plan, outdir):
         "rho": params.rho,
         "Lambda": params.Lam.tolist(),
     }
-    return estimates, wall, {"iterations": len(trace)}
+    run = {"iterations": len(trace), "converged": trace.converged, "stop_reason": trace.stop_reason}
+    return estimates, wall, run
 
 
 def _fit_gibbs(ds, hp, args, plan, outdir):
@@ -386,7 +389,7 @@ def cmd_density(args) -> int:
 
 
 def _bench_once(ds, hp, args, workers: int) -> tuple[float, dict]:
-    plan = linalg.ExecPlan(workers=workers, deterministic=True)
+    plan = linalg.ExecPlan(workers=workers)
     t0 = time.perf_counter()
     if args.method == "vb":
         state, _ = vb.vb_fit(

@@ -1,10 +1,13 @@
 """Expectation-maximization point estimation.
 
-The E-step computes, per gene, the posterior covariance Sigma_i and mean
-M_i of the latent weight vector plus the expected squared residual S_i;
-the M-step updates (rho, K, Lambda) in closed form. The ascent target is
-the beta-marginalized log-likelihood from the model module (the updates
-carry no prior terms), which is non-decreasing across iterations.
+The E-step takes, per gene, the posterior covariance Sigma_i and mean
+M_i of the latent weight vector from the model's rank-1 BetaGaussian,
+plus the expected squared residual S_i; the M-step updates (rho, K,
+Lambda) in closed form. The ascent target is the beta-marginalized
+log-likelihood from the model module (the updates carry no prior terms),
+which is non-decreasing across iterations. The fit stops when it changes
+by less than rel_tol relative, or after max_iter iterations; the trace
+records which.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .model import Dataset, ModelParams, marginal_loglik
+from .model import BetaGaussian, Dataset, ModelParams, marginal_loglik
 
 __all__ = ["EmState", "EmTrace", "em_fit", "em_step"]
 
@@ -31,41 +34,33 @@ class EmState:
 
 @dataclass
 class EmTrace:
-    """Per-iteration log-likelihood and parameter path."""
+    """Per-iteration log-likelihood and parameter path, and why the fit stopped."""
 
     loglik: np.ndarray  # (n,)
     K: np.ndarray  # (n, d)
     rho: np.ndarray  # (n,)
+    converged: bool
 
     def __len__(self) -> int:
         return len(self.loglik)
 
+    @property
+    def stop_reason(self) -> str:
+        return "tolerance" if self.converged else "max_iter"
+
 
 def _estep(params: ModelParams, ds: Dataset, plan: linalg.ExecPlan):
-    lam_k = params.Lam @ params.K
+    cov0 = linalg.inverse_batched(params.Lam)
 
     def kernel(lo, hi):
         D = ds.D[lo:hi]
-        rm = ds.r[lo:hi] - ds.mu[lo:hi]
-        prec = linalg.gemm_batched(
-            D[:, :, None], D[:, :, None], transb=True, alpha=params.rho, beta=1.0, C=params.Lam
-        )
-        sigma = linalg.spd_jitter_retry(linalg.inverse_batched, prec, "E-step covariance")
-        m = np.einsum("vij,vj->vi", sigma, lam_k[None, :] + params.rho * rm[:, None] * D)
-        second = np.einsum("vi,vj->vij", m, m) + sigma
-        s = (
-            rm**2
-            - 2.0 * rm * np.einsum("vi,vi->v", D, m)
-            + np.einsum("vi,vij,vj->v", D, second, D)
-        )
-        return (
-            sigma,
-            m,
-            s,
-            linalg.reduce_sum(m, deterministic=plan.deterministic),
-            linalg.reduce_sum(second, deterministic=plan.deterministic),
-            linalg.reduce_sum(s, deterministic=plan.deterministic),
-        )
+        x = ds.r[lo:hi] - ds.mu[lo:hi]
+        q = BetaGaussian(cov0, params.rho, D)
+        m = q.mean(params.K, x)
+        sigma = q.cov()
+        second = m[:, :, None] * m[:, None, :] + sigma
+        s = (x - np.einsum("vi,vi->v", D, m)) ** 2 + q.quad()
+        return sigma, m, s, linalg.reduce_sum(m), linalg.reduce_sum(second), linalg.reduce_sum(s)
 
     parts = plan.map(kernel, ds.V)
     sigma = np.concatenate([p[0] for p in parts])
@@ -104,7 +99,8 @@ def em_fit(
     """Iterate until the marginal log-likelihood settles.
 
     Returns the final parameters and the per-iteration trace (evaluated
-    after each update).
+    after each update). The fit has converged when an iteration changes
+    the log-likelihood by less than rel_tol relative.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -112,6 +108,7 @@ def em_fit(
     state = EmState(params=init, Sigma=np.empty(0), M=np.empty(0), S=np.empty(0))
     lls, ks, rhos = [], [], []
     prev = marginal_loglik(ds, init)
+    converged = False
     for _ in range(max_iter):
         state = em_step(state, ds, plan)
         ll = marginal_loglik(ds, state.params)
@@ -119,6 +116,8 @@ def em_fit(
         ks.append(state.params.K)
         rhos.append(state.params.rho)
         if abs(ll - prev) < rel_tol * abs(ll):
+            converged = True
             break
         prev = ll
-    return state.params, EmTrace(loglik=np.array(lls), K=np.stack(ks), rho=np.array(rhos))
+    trace = EmTrace(loglik=np.array(lls), K=np.stack(ks), rho=np.array(rhos), converged=converged)
+    return state.params, trace

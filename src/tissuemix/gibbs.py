@@ -3,8 +3,12 @@
 Update order per iteration: Lambda (Wishart), K given the new Lambda
 (Gaussian), all per-gene beta vectors in parallel (Gaussians), then rho
 (Gamma). The Lambda step uses the beta and K values most recently in
-state. Per-gene sampling uses one independent random stream per gene, so
-a chain is reproducible for any worker count and permuting genes together
+state. The beta Gaussians are the model's BetaGaussian around
+A = Lambda^-1, which the K step has already formed; each draw applies
+the Cholesky factor of its covariance in closed form, so no per-gene
+matrix is built or factored.
+Per-gene sampling uses one independent random stream per gene, so a
+chain is reproducible for any worker count and permuting genes together
 with their streams permutes nothing observable.
 """
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .model import Dataset, HyperParams
+from .model import BetaGaussian, Dataset, HyperParams
 from .samplers import (
     GammaParams,
     RngStream,
@@ -136,44 +140,31 @@ def gibbs_step(
     # Lambda first, from the betas and K most recently in state.
     def scatter_kernel(lo, hi):
         dev = state.beta[lo:hi] - state.K
-        return linalg.reduce_sum(
-            np.einsum("vi,vj->vij", dev, dev), deterministic=plan.deterministic
-        )
+        return linalg.reduce_sum(np.einsum("vi,vj->vij", dev, dev))
 
     beta_scatter = linalg.tree_combine(plan.map(scatter_kernel, V))
     lam = sample_wishart(rng, lambda_full_conditional(hp, state.K, beta_scatter, V))
 
     # K given the fresh Lambda.
-    beta_sum = linalg.tree_combine(
-        plan.map(
-            lambda lo, hi: linalg.reduce_sum(state.beta[lo:hi], deterministic=plan.deterministic),
-            V,
-        )
-    )
+    beta_sum = linalg.tree_combine(plan.map(lambda lo, hi: linalg.reduce_sum(state.beta[lo:hi]), V))
     k_mean, k_cov = k_full_conditional(hp, lam, beta_sum, V)
     K = sample_mvn(rng, k_mean, k_cov, mode="cov")
 
-    # All betas in parallel: precision Lam + rho D D^T, one stream per gene.
+    # All betas in parallel: precision Lam + rho D D^T around
+    # A = Lam^-1 = (q0 + V) k_cov, one stream per gene.
+    cov0 = (hp.q0 + V) * k_cov
     u = streams.normals(d)
 
     def beta_kernel(lo, hi):
-        D = ds.D[lo:hi]
-        rm = ds.r[lo:hi] - ds.mu[lo:hi]
-        lam_b = linalg.gemm_batched(
-            D[:, :, None], D[:, :, None], transb=True, alpha=state.rho, beta=1.0, C=lam
-        )
-        sigma_b = linalg.spd_jitter_retry(linalg.inverse_batched, lam_b, "beta conditional")
-        rhs = (lam @ K)[None, :] + state.rho * rm[:, None] * D
-        mu_b = np.einsum("vij,vj->vi", sigma_b, rhs)
-        L = linalg.cholesky_batched(sigma_b)
-        return mu_b + np.einsum("vij,vj->vi", L, u[lo:hi])
+        q = BetaGaussian(cov0, state.rho, ds.D[lo:hi])
+        return q.draw(q.mean(K, ds.r[lo:hi] - ds.mu[lo:hi]), u[lo:hi])
 
     beta = np.concatenate(plan.map(beta_kernel, V))
 
     # rho from the exact residuals under the fresh betas.
     def resid_kernel(lo, hi):
         resid = ds.r[lo:hi] - ds.mu[lo:hi] - np.einsum("vi,vi->v", ds.D[lo:hi], beta[lo:hi])
-        return linalg.reduce_sum(resid**2, deterministic=plan.deterministic)
+        return linalg.reduce_sum(resid**2)
 
     ssr = float(linalg.tree_combine(plan.map(resid_kernel, V)))
     rho = sample_gamma(rng, rho_full_conditional(hp, ssr, V))

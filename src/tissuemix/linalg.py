@@ -11,9 +11,9 @@ Conventions
 A single Mat/Vec passed where a batch is expected is broadcast logically
 across the batch (no physical replication).
 
-Batched operations are pure functions; in deterministic mode every
-reduction uses a fixed binary tree over fixed chunk boundaries, so results
-are bit-identical regardless of how many workers execute the chunks.
+Batched operations are pure functions; every reduction uses a fixed
+binary tree over fixed chunk boundaries, so results are bit-identical
+regardless of how many workers execute the chunks.
 """
 
 from __future__ import annotations
@@ -219,7 +219,8 @@ def cholesky_batched(A):
                 bad_items.append(int(i))
                 bad_pivots.append(j)
             alive &= ~failed
-            s = np.where(s > 0.0, s, 1.0)  # keep the sweep going for diagnostics
+        if bad_items:
+            s = np.where(alive, s, 1.0)  # keep the sweep going for diagnostics
         L[:, j, j] = np.sqrt(s)
         if j + 1 < n:
             # one column of the factor for all remaining rows, batched
@@ -255,22 +256,17 @@ def tree_combine(parts: Sequence):
     return parts[0]
 
 
-def reduce_sum(items, deterministic=True, chunk=DEFAULT_CHUNK):
+def reduce_sum(items, chunk=DEFAULT_CHUNK):
     """Element-wise sum over the batch axis (axis 0).
 
     Accepts a MatBatch, VecBatch, or plain sequence of reals; returns the
-    summed Mat / Vec / scalar. In deterministic mode the reduction is a
-    fixed binary tree over fixed chunk boundaries, independent of worker
-    count; the opt-in fast mode may reassociate freely.
+    summed Mat / Vec / scalar. The reduction is a fixed binary tree over
+    fixed chunk boundaries, independent of worker count.
     """
     a = np.asarray(items, dtype=np.float64)
     if a.shape[0] == 0:
         raise ValueError("empty batch")
-    if not deterministic:
-        out = np.sum(a, axis=0)
-    else:
-        parts = [np.sum(a[lo : lo + chunk], axis=0) for lo in range(0, a.shape[0], chunk)]
-        out = tree_combine(parts)
+    out = tree_combine([np.sum(a[lo : lo + chunk], axis=0) for lo in range(0, a.shape[0], chunk)])
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -303,14 +299,12 @@ class ExecPlan:
     """How batched per-item work is scheduled.
 
     workers = 1 runs chunks serially; workers > 1 uses a thread pool.
-    Chunk boundaries depend only on chunk_size, so deterministic results
-    do not depend on the worker count. deterministic=False permits
-    whole-batch reductions that may reassociate.
+    Chunk boundaries depend only on chunk_size, so results do not depend
+    on the worker count.
     """
 
     workers: int = 1
     chunk_size: int = DEFAULT_CHUNK
-    deterministic: bool = True
 
     def chunks(self, n: int) -> list[tuple[int, int]]:
         return [(lo, min(lo + self.chunk_size, n)) for lo in range(0, n, self.chunk_size)]
@@ -322,7 +316,3 @@ class ExecPlan:
             return [fn(lo, hi) for lo, hi in spans]
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             return list(pool.map(lambda span: fn(*span), spans))
-
-    def map_sum(self, fn: Callable[[int, int], object], n: int):
-        """Map fn over chunks and tree-combine the partials."""
-        return tree_combine(self.map(fn, n))

@@ -26,6 +26,7 @@ from . import linalg
 from .samplers import RngStream
 
 __all__ = [
+    "BetaGaussian",
     "Dataset",
     "ExpressionProfile",
     "HyperParams",
@@ -34,7 +35,6 @@ __all__ = [
     "default_hyperparams",
     "full_weights",
     "marginal_loglik",
-    "marginal_loglik_grad_k",
     "random_profiles",
     "synth_generate",
     "transform",
@@ -287,8 +287,66 @@ def marginal_loglik(ds: Dataset, p: ModelParams) -> float:
     return float(linalg.reduce_sum(terms))
 
 
-def marginal_loglik_grad_k(ds: Dataset, p: ModelParams) -> np.ndarray:
-    """Gradient of marginal_loglik with respect to K."""
-    s2 = _marginal_sd2(ds, p)
-    resid = ds.r - ds.mu - ds.D @ p.K
-    return ds.D.T @ (resid / s2)
+class BetaGaussian:
+    """The Gaussians over beta_i with precision Lambda + rho D_i D_i^T.
+
+    All genes share A = Lambda^-1, so each gene's Gaussian is a rank-1
+    change of A (Sherman-Morrison). With a_i = A D_i, s_i = D_i^T a_i and
+    c_i = rho / (1 + rho s_i):
+
+        mean_i            = m0 + c_i (x_i - D_i^T m0) a_i
+        Sigma_i           = A - c_i a_i a_i^T
+        log det Sigma_i   = log det A - log1p(rho s_i)
+        D_i^T Sigma_i D_i = s_i / (1 + rho s_i)
+
+    where x_i = r_i - mu_i and m0 = A Lambda K is the mean of a gene
+    whose profile carries no information (D_i = 0). VB, EM and Gibbs all
+    take their beta block from here, so none of them builds, inverts or
+    factors a d x d matrix per gene; cov() materializes the (V, d, d)
+    covariances only for the callers that store or sum them.
+    """
+
+    def __init__(self, A: np.ndarray, rho: float, D: np.ndarray):
+        self.A = A
+        self.rho = rho
+        self.D = D
+        self.a = D @ A.T
+        self.s = np.einsum("vi,vi->v", D, self.a)
+        self.c = rho / (1.0 + rho * self.s)
+
+    def mean(self, m0: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return m0 + (self.c * (x - self.D @ m0))[:, None] * self.a
+
+    def cov(self) -> np.ndarray:
+        return self.A - self.c[:, None, None] * (self.a[:, :, None] * self.a[:, None, :])
+
+    def logdet(self) -> np.ndarray:
+        sign, logdet_a = np.linalg.slogdet(self.A)
+        if sign <= 0:
+            raise linalg.NumericError("non-PD beta covariance")
+        return logdet_a - np.log1p(self.rho * self.s)
+
+    def quad(self) -> np.ndarray:
+        """D_i^T Sigma_i D_i."""
+        return self.s / (1.0 + self.rho * self.s)
+
+    def draw(self, mean: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """mean_i + chol(Sigma_i) u_i per gene, given standard normals u (V, d).
+
+        With L = chol(A) and w_i = L^T D_i, chol(Sigma_i) is
+        L chol(I - c_i w_i w_i^T), and the inner factor has a closed form:
+        with e_j = 1 + rho sum_{k>j} w_k^2 and f_j = e_j + rho w_j^2, its
+        diagonal is sqrt(e_j / f_j) and its entry (i, j) below the
+        diagonal is -rho w_i w_j / sqrt(e_j f_j). Nothing divides by s_i,
+        so a gene with D_i = 0 gets mean_i + L u_i.
+        """
+        L = np.linalg.cholesky(self.A)
+        w = self.D @ L
+        w2 = w * w
+        e = np.zeros_like(w)
+        e[:, :-1] = np.cumsum(w2[:, :0:-1], axis=1)[:, ::-1]
+        e = 1.0 + self.rho * e
+        f = e + self.rho * w2
+        below = np.zeros_like(w)
+        below[:, 1:] = np.cumsum((w * u / np.sqrt(e * f))[:, :-1], axis=1)
+        return mean + (np.sqrt(e / f) * u - self.rho * w * below) @ L.T

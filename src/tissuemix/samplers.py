@@ -29,7 +29,6 @@ __all__ = [
     "WishartParams",
     "sample_gamma",
     "sample_mvn",
-    "sample_mvn_batched",
     "sample_wishart",
 ]
 
@@ -141,10 +140,6 @@ class RngStream:
         out = _draw(self.seed, self.stream_id, self._block, n, "normal")[0]
         self._block += -(-n // _PER_BLOCK)
         return out
-
-    def spawn(self, stream_id: int) -> "RngStream":
-        """Fresh stream under the same seed."""
-        return RngStream(self.seed, stream_id)
 
 
 @dataclass
@@ -289,20 +284,3 @@ def sample_wishart(rng, p: WishartParams) -> np.ndarray:
     u = rng.normals(int(p.n) * dim).reshape(int(p.n), dim)
     S = u @ R.T  # row i is (R u_i)^T
     return S.T @ S
-
-
-def sample_mvn_batched(streams: RngStreamSet, means: np.ndarray, precisions: np.ndarray) -> np.ndarray:
-    """Draw item i from N(means[i], precisions[i]^-1) using stream i.
-
-    All items are drawn in one vectorized pass; the per-item values are
-    identical to sample_mvn on the corresponding single stream.
-    """
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim != 2:
-        raise ValueError("means must be (batch, dim)")
-    if len(streams) != means.shape[0]:
-        raise ValueError(f"{len(streams)} streams for {means.shape[0]} items")
-    covs = linalg.inverse_batched(precisions)
-    L = linalg.cholesky_batched(covs)
-    u = streams.normals(means.shape[1])
-    return means + np.einsum("bij,bj->bi", L, u)

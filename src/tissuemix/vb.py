@@ -16,11 +16,13 @@ result only if the bound after one more sweep is at least the bound of
 the plain pair. The fit's max_iter counts sweep evaluations: accepted
 states plus rejected extrapolations.
 
-Per-gene work is batched and may be chunked across worker threads; all
-reductions use the deterministic fixed-tree contract, so results are
-bit-identical for any worker count. vb_fit sweeps the genes in an order
-set by their data, so its result is also bit-identical for any order of
-the input genes.
+Each Q(beta_i) is the model's BetaGaussian around A = E[Lambda]^-1,
+which is the Q(Lambda) rate over n0+V, so the beta block and the bound
+need no inversion per gene. Per-gene work is batched and may be chunked
+across worker threads; all reductions use the fixed-tree contract, so
+results are bit-identical for any worker count. vb_fit sweeps the genes
+in an order set by their data, so its result is also bit-identical for
+any order of the input genes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, multigammaln
 
 from . import linalg
-from .model import Dataset, HyperParams
+from .model import BetaGaussian, Dataset, HyperParams
 from .samplers import GammaParams, RngStream, sample_gamma
 
 __all__ = [
@@ -51,8 +53,12 @@ LOG_2PI = np.log(2.0 * np.pi)
 class VbState:
     """All variational parameters plus cached expectations.
 
-    lam0l_inv is the accumulated Wishart rate of Q(Lambda); the scale of
-    Q(Lambda) is its inverse, obtained by explicit inversion each sweep.
+    lam0l_inv is the accumulated Wishart rate of Q(Lambda). Q(beta_i) is
+    BetaGaussian(beta_cov0, beta_rho, D_i) with mean mu_beta[i]: beta_cov0
+    and beta_rho are the E[Lambda]^-1 and E[rho] the beta block was
+    computed with, which a sweep takes before it updates Q(Lambda).
+    lam_beta and e_bbt are that block's per-gene precisions and second
+    moments.
     """
 
     a_rho: float
@@ -61,12 +67,10 @@ class VbState:
     lam_beta: np.ndarray  # (V, d, d) per-gene precisions
     k0k: np.ndarray  # (d,) mean of Q(K | Lambda)
     lam0l_inv: np.ndarray  # (d, d) Wishart rate of Q(Lambda)
-    e_beta: np.ndarray  # (V, d)
     e_bbt: np.ndarray  # (V, d, d) second moments of beta
-    e_lam: np.ndarray  # (d, d)
     e_rho: float
-    e_k: np.ndarray  # (d,)
-    e_lamk: np.ndarray  # (d,)
+    beta_cov0: np.ndarray  # (d, d)
+    beta_rho: float
 
     @property
     def dim(self) -> int:
@@ -107,82 +111,66 @@ class VbTrace:
 def vb_init(ds: Dataset, hp: HyperParams) -> VbState:
     """Start every block at its prior values.
 
-    Per-gene precisions and the stored Wishart rate of Q(Lambda) both
-    start at Lambda0 (the rate is the quantity the sweep accumulates and
-    inverts); means start at K0 and the rho block at (a0, b0).
+    Q(beta_i) starts at the prior N(K0, Lambda0^-1), which is the
+    BetaGaussian with A = Lambda0^-1 and rho = 0. The stored Wishart rate
+    of Q(Lambda) also starts at Lambda0 (the rate is the quantity the
+    sweep accumulates), and the rho block at (a0, b0).
     """
     if hp.dim != ds.dim:
         raise ValueError(f"hyperparams dim {hp.dim} != dataset dim {ds.dim}")
     V, d = ds.V, ds.dim
-    lam_beta = np.broadcast_to(hp.Lambda0, (V, d, d)).copy()
-    mu_beta = np.broadcast_to(hp.K0, (V, d)).copy()
-    lam0l_inv = hp.Lambda0.copy()
-    sigma_beta = linalg.inverse_batched(lam_beta)
-    e_bbt = np.einsum("vi,vj->vij", mu_beta, mu_beta) + sigma_beta
-    e_lam = (hp.n0 + V) * linalg.inverse_batched(lam0l_inv)
+    cov0 = linalg.inverse_batched(hp.Lambda0)
     return VbState(
         a_rho=hp.a0,
         b_rho=hp.b0,
-        mu_beta=mu_beta,
-        lam_beta=lam_beta,
+        mu_beta=np.broadcast_to(hp.K0, (V, d)).copy(),
+        lam_beta=np.broadcast_to(hp.Lambda0, (V, d, d)).copy(),
         k0k=hp.K0.copy(),
-        lam0l_inv=lam0l_inv,
-        e_beta=mu_beta.copy(),
-        e_bbt=e_bbt,
-        e_lam=e_lam,
+        lam0l_inv=hp.Lambda0.copy(),
+        e_bbt=np.broadcast_to(np.outer(hp.K0, hp.K0) + cov0, (V, d, d)).copy(),
         e_rho=hp.a0 / hp.b0,
-        e_k=hp.K0.copy(),
-        e_lamk=e_lam @ hp.K0,
+        beta_cov0=cov0,
+        beta_rho=0.0,
     )
 
 
+def _resid_chunk(state: VbState, ds: Dataset, lo: int, hi: int) -> float:
+    """sum_i [(r-mu)^2 - 2(r-mu) D^T E[beta] + D^T E[beta beta^T] D] over genes lo..hi."""
+    rm = ds.r[lo:hi] - ds.mu[lo:hi]
+    D = ds.D[lo:hi]
+    quad = np.einsum("vi,vij,vj->v", D, state.e_bbt[lo:hi], D)
+    cross = np.einsum("vi,vi->v", D, state.mu_beta[lo:hi])
+    return linalg.reduce_sum(rm**2 - 2.0 * rm * cross + quad)
+
+
 def _resid_moment_sums(state: VbState, ds: Dataset, plan: linalg.ExecPlan) -> float:
-    """sum_i [(r-mu)^2 - 2(r-mu) D^T E[beta] + D^T E[beta beta^T] D]."""
-
-    def kernel(lo, hi):
-        rm = ds.r[lo:hi] - ds.mu[lo:hi]
-        D = ds.D[lo:hi]
-        sigma = linalg.inverse_batched(state.lam_beta[lo:hi])
-        e_bbt = np.einsum("vi,vj->vij", state.mu_beta[lo:hi], state.mu_beta[lo:hi]) + sigma
-        quad = np.einsum("vi,vij,vj->v", D, e_bbt, D)
-        cross = np.einsum("vi,vi->v", D, state.e_beta[lo:hi])
-        return linalg.reduce_sum(rm**2 - 2.0 * rm * cross + quad, deterministic=plan.deterministic)
-
-    return float(linalg.tree_combine(plan.map(kernel, ds.V)))
+    """The expected squared residual, summed over all genes."""
+    return float(linalg.tree_combine(plan.map(lambda lo, hi: _resid_chunk(state, ds, lo, hi), ds.V)))
 
 
-def _global_expectations(lam0l_inv, k0k, b_rho: float, ds: Dataset, hp: HyperParams):
-    """E[Lambda], E[Lambda K], a_rho and E[rho] of the global block."""
+def _global_expectations(lam0l_inv, b_rho: float, ds: Dataset, hp: HyperParams):
+    """E[Lambda], a_rho and E[rho] of the global block."""
     lam0l = linalg.spd_jitter_retry(linalg.inverse_batched, lam0l_inv, "Q(Lambda) rate inversion")
-    e_lam = (hp.n0 + ds.V) * lam0l
     a_rho = hp.a0 + 0.5 * ds.V
-    return e_lam, e_lam @ k0k, a_rho, a_rho / b_rho
+    return (hp.n0 + ds.V) * lam0l, a_rho, a_rho / b_rho
 
 
-def _beta_block(ds: Dataset, e_lam, e_lamk, e_rho: float, plan: linalg.ExecPlan):
-    """Optimal Q(beta) for the given E[Lambda], E[Lambda K] and E[rho].
+def _beta_block(ds: Dataset, cov0, e_lam, k0k, e_rho: float, plan: linalg.ExecPlan):
+    """Optimal Q(beta) for the given E[Lambda] = cov0^-1, E[K] and E[rho].
 
     Batched over genes; returns the per-gene precisions, means and second
     moments, plus the fixed-tree sums of the means and second moments.
+    E[Lambda]^-1 E[Lambda K] is k0k, so that is the mean of a gene with
+    D_i = 0.
     """
 
     def beta_kernel(lo, hi):
         D = ds.D[lo:hi]
-        rm = ds.r[lo:hi] - ds.mu[lo:hi]
-        lam_b = linalg.gemm_batched(
-            D[:, :, None], D[:, :, None], transb=True, alpha=e_rho, beta=1.0, C=e_lam
-        )
-        sigma_b = linalg.spd_jitter_retry(linalg.inverse_batched, lam_b, "beta precision inversion")
-        rhs = e_lamk[None, :] + e_rho * D * rm[:, None]
-        mu_b = np.einsum("vij,vj->vi", sigma_b, rhs)
-        e_bbt = np.einsum("vi,vj->vij", mu_b, mu_b) + sigma_b
-        return (
-            lam_b,
-            mu_b,
-            e_bbt,
-            linalg.reduce_sum(mu_b, deterministic=plan.deterministic),
-            linalg.reduce_sum(e_bbt, deterministic=plan.deterministic),
-        )
+        q = BetaGaussian(cov0, e_rho, D)
+        mu_b = q.mean(k0k, ds.r[lo:hi] - ds.mu[lo:hi])
+        lam_b = e_lam + e_rho * (D[:, :, None] * D[:, None, :])
+        e_bbt = mu_b[:, :, None] * mu_b[:, None, :] + q.cov()
+        return lam_b, mu_b, e_bbt, linalg.reduce_sum(mu_b), linalg.reduce_sum(e_bbt)
 
     parts = plan.map(beta_kernel, ds.V)
     return (
@@ -202,10 +190,11 @@ def vb_step(state: VbState, ds: Dataset, hp: HyperParams, plan: linalg.ExecPlan 
     # rho block (the residual sum carries the current beta moments), with
     # the expectations of the current Q(K, Lambda) block.
     b_rho = hp.b0 + 0.5 * _resid_moment_sums(state, ds, plan)
-    e_lam, e_lamk, a_rho, e_rho = _global_expectations(state.lam0l_inv, state.k0k, b_rho, ds, hp)
+    e_lam, a_rho, e_rho = _global_expectations(state.lam0l_inv, b_rho, ds, hp)
 
     # beta block, batched over genes.
-    lam_beta, mu_beta, e_bbt, sum_mu, sum_bbt = _beta_block(ds, e_lam, e_lamk, e_rho, plan)
+    cov0 = state.lam0l_inv / (hp.n0 + ds.V)
+    lam_beta, mu_beta, e_bbt, sum_mu, sum_bbt = _beta_block(ds, cov0, e_lam, state.k0k, e_rho, plan)
 
     # K / Lambda block from the refreshed beta moments.
     k0k = (sum_mu + hp.q0 * hp.K0) / qv
@@ -218,7 +207,6 @@ def vb_step(state: VbState, ds: Dataset, hp: HyperParams, plan: linalg.ExecPlan 
     )
     lam0l_inv = 0.5 * (lam0l_inv + lam0l_inv.T)
 
-    e_lam_new, e_lamk_new, _, _ = _global_expectations(lam0l_inv, k0k, b_rho, ds, hp)
     return VbState(
         a_rho=a_rho,
         b_rho=b_rho,
@@ -226,12 +214,10 @@ def vb_step(state: VbState, ds: Dataset, hp: HyperParams, plan: linalg.ExecPlan 
         lam_beta=lam_beta,
         k0k=k0k,
         lam0l_inv=lam0l_inv,
-        e_beta=mu_beta,
         e_bbt=e_bbt,
-        e_lam=e_lam_new,
         e_rho=e_rho,
-        e_k=k0k,
-        e_lamk=e_lamk_new,
+        beta_cov0=cov0,
+        beta_rho=e_rho,
     )
 
 
@@ -268,26 +254,10 @@ def vb_elbo(state: VbState, ds: Dataset, hp: HyperParams, plan: linalg.ExecPlan 
     e_lnlam = _e_log_det_lam(nu, S)
 
     def gene_kernel(lo, hi):
-        D = ds.D[lo:hi]
-        rm = ds.r[lo:hi] - ds.mu[lo:hi]
-        mu_b = state.mu_beta[lo:hi]
-        sigma = linalg.inverse_batched(state.lam_beta[lo:hi])
-        e_bbt = np.einsum("vi,vj->vij", mu_b, mu_b) + sigma
-        resid = linalg.reduce_sum(
-            rm**2
-            - 2.0 * rm * np.einsum("vi,vi->v", D, mu_b)
-            + np.einsum("vi,vij,vj->v", D, e_bbt, D),
-            deterministic=plan.deterministic,
-        )
-        dev = mu_b - state.k0k
-        scatter = linalg.reduce_sum(
-            sigma + np.einsum("vi,vj->vij", dev, dev), deterministic=plan.deterministic
-        )
-        sign, logdet_lam = np.linalg.slogdet(state.lam_beta[lo:hi])
-        if np.any(sign <= 0):
-            raise linalg.NumericError("non-PD beta precision in bound evaluation")
-        logdet_sigma = linalg.reduce_sum(-logdet_lam, deterministic=plan.deterministic)
-        return resid, scatter, logdet_sigma
+        q = BetaGaussian(state.beta_cov0, state.beta_rho, ds.D[lo:hi])
+        dev = state.mu_beta[lo:hi] - state.k0k
+        scatter = linalg.reduce_sum(q.cov() + dev[:, :, None] * dev[:, None, :])
+        return _resid_chunk(state, ds, lo, hi), scatter, linalg.reduce_sum(q.logdet())
 
     parts = plan.map(gene_kernel, V)
     resid_sum = linalg.tree_combine([p[0] for p in parts])
@@ -383,8 +353,9 @@ def _squarem_point(
         return None
 
     k0k = theta[:d]
-    e_lam, e_lamk, a_rho, e_rho = _global_expectations(rate, k0k, b_rho, ds, hp)
-    lam_beta, mu_beta, e_bbt, _, _ = _beta_block(ds, e_lam, e_lamk, e_rho, plan)
+    e_lam, a_rho, e_rho = _global_expectations(rate, b_rho, ds, hp)
+    cov0 = rate / (hp.n0 + ds.V)
+    lam_beta, mu_beta, e_bbt, _, _ = _beta_block(ds, cov0, e_lam, k0k, e_rho, plan)
     return VbState(
         a_rho=a_rho,
         b_rho=b_rho,
@@ -392,12 +363,10 @@ def _squarem_point(
         lam_beta=lam_beta,
         k0k=k0k,
         lam0l_inv=rate,
-        e_beta=mu_beta,
         e_bbt=e_bbt,
-        e_lam=e_lam,
         e_rho=e_rho,
-        e_k=k0k,
-        e_lamk=e_lamk,
+        beta_cov0=cov0,
+        beta_rho=e_rho,
     )
 
 
@@ -418,7 +387,6 @@ def _take_genes(state: VbState, index: np.ndarray) -> VbState:
         state,
         mu_beta=state.mu_beta[index],
         lam_beta=state.lam_beta[index],
-        e_beta=state.e_beta[index],
         e_bbt=state.e_bbt[index],
     )
 

@@ -104,6 +104,21 @@ class TestFit:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == 10  # no burn-in on short chains by default
 
+    @pytest.mark.parametrize(
+        "extra, reason", [(["--max-iter", "3", "--rel-tol", "0"], "max_iter"), (["--rel-tol", "1e-4"], "tolerance")]
+    )
+    def test_em_report_says_why_it_stopped(self, synth_file, tmp_path, extra, reason):
+        out = tmp_path / "em"
+        rc = run(["fit", "--method", "em", "--dataset", str(synth_file), "--out", str(out)] + extra)
+        assert rc == 0
+        report = read_json(out / "report.json")
+        assert report["stop_reason"] == reason
+        assert report["converged"] is (reason == "tolerance")
+        if reason == "max_iter":
+            assert report["iterations"] == 3
+        else:
+            assert report["iterations"] < 300
+
     def test_missing_dataset_is_io_error(self, tmp_path):
         rc = run(["fit", "--method", "em", "--dataset", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_IO
@@ -124,6 +139,17 @@ class TestFit:
              "--hyperparams", str(hp_path)]
         )
         assert rc == cli.EXIT_NUMERIC
+
+    def test_hyperparams_missing_key_is_usage_error(self, synth_file, tmp_path, capsys):
+        hp_path = tmp_path / "hp.json"
+        hp_path.write_text(json.dumps({"a0": 0.5, "b0": 0.5, "n0": 1, "K0": [0.33, 0.33],
+                                       "Lambda0": [[100.0, 0.0], [0.0, 100.0]]}))
+        rc = run(
+            ["fit", "--method", "em", "--dataset", str(synth_file), "--out", str(tmp_path / "o"),
+             "--hyperparams", str(hp_path)]
+        )
+        assert rc == cli.EXIT_USAGE
+        assert "'q0'" in capsys.readouterr().err
 
     def test_replay_byte_identical_modulo_wall_clock(self, synth_file, tmp_path):
         outs = []

@@ -134,3 +134,19 @@ class TestFit:
         hp = model.default_hyperparams(3)
         with pytest.raises(ValueError):
             em.em_fit(ds, init_params(hp), max_iter=0)
+
+    def test_stops_on_tolerance(self):
+        ds, _ = make_dataset(200, seed=41)
+        hp = model.default_hyperparams(3)
+        _, trace = em.em_fit(ds, init_params(hp), max_iter=1000, rel_tol=1e-6)
+        assert trace.converged and trace.stop_reason == "tolerance"
+        assert len(trace) < 1000
+        ll = trace.loglik
+        assert abs(ll[-1] - ll[-2]) < 1e-6 * abs(ll[-1])
+
+    def test_stops_on_max_iter(self):
+        ds, _ = make_dataset(200, seed=41)
+        hp = model.default_hyperparams(3)
+        _, trace = em.em_fit(ds, init_params(hp), max_iter=5, rel_tol=0.0)
+        assert not trace.converged and trace.stop_reason == "max_iter"
+        assert len(trace) == 5

@@ -51,6 +51,27 @@ class TestFullConditionals:
         assert p.b == hp.b0
         assert p.a == hp.a0 + 10.0
 
+    @pytest.mark.parametrize("rho", [100.0, 1e5])
+    def test_beta_draw_moments(self, rho):
+        # beta_i given (K, Lambda, rho) is N(m_i, (Lambda + rho D_i D_i^T)^-1);
+        # the draw gibbs_step makes, on n genes per profile with their own streams
+        lam = np.linalg.inv(model.REFERENCE_LAMBDA_INV)
+        K = np.array([0.1, 0.3])
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 1.0], [1.0, 1.0]])
+        xs = np.array([0.2, 0.4, -0.1, 0.5])
+        n = 40_000
+        q = model.BetaGaussian(np.linalg.inv(lam), rho, np.repeat(rows, n, axis=0))
+        u = RngStreamSet.for_batch(43, 4 * n).normals(2)
+        draws = q.draw(q.mean(K, np.repeat(xs, n)), u).reshape(4, n, 2)
+        for Di, xi, got in zip(rows, xs, draws):
+            prec = lam + rho * np.outer(Di, Di)
+            sigma = np.linalg.inv(prec)
+            mean = np.linalg.solve(prec, lam @ K + rho * xi * Di)
+            sd = np.sqrt(np.diag(sigma))
+            assert np.all(np.abs(got.mean(0) - mean) < 4.5 * sd / np.sqrt(n))
+            se_cov = np.sqrt((np.outer(sd, sd) ** 2 + sigma**2) / n)
+            assert np.all(np.abs(np.cov(got.T) - sigma) < 4.5 * se_cov)
+
 
 class TestChainMechanics:
     def test_deterministic_replay(self):

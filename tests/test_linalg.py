@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,15 @@ class TestCholeskyBatched:
             linalg.cholesky_batched(A)
         assert exc.value.indices == [1]
         assert exc.value.pivots == [1]
+
+    def test_failed_item_takes_no_root_of_later_pivots(self):
+        # after pivot 0 fails, pivot 1 is negative too; it must not reach sqrt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(linalg.BatchItemError) as exc:
+                linalg.cholesky_batched(np.array([[-1.0, 0.0], [0.0, -1.0]]))
+        assert exc.value.indices == [0]
+        assert exc.value.pivots == [0]
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(10)

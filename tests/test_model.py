@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,19 +172,6 @@ class TestMarginalLoglik:
             model.marginal_loglik(shifted, truth), rel=1e-12
         )
 
-    def test_gradient_matches_central_differences(self):
-        ds, truth = make_dataset(80, seed=13)
-        p = model.ModelParams(K=np.array([0.15, 0.25]), Lam=truth.Lam, rho=80.0)
-        grad = model.marginal_loglik_grad_k(ds, p)
-        h = 1e-6
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            up = model.ModelParams(K=p.K + e, Lam=p.Lam, rho=p.rho)
-            dn = model.ModelParams(K=p.K - e, Lam=p.Lam, rho=p.rho)
-            fd = (model.marginal_loglik(ds, up) - model.marginal_loglik(ds, dn)) / (2 * h)
-            assert abs(fd - grad[j]) < 1e-5 * max(1.0, abs(grad[j]))
-
     def test_maximized_at_gls_solution(self):
         ds, truth = make_dataset(120, seed=14)
         lam_inv = np.linalg.inv(truth.Lam)
@@ -191,11 +181,83 @@ class TestMarginalLoglik:
         b = ds.D.T @ ((ds.r - ds.mu) * w)
         k_gls = np.linalg.solve(A, b)
         at_gls = model.marginal_loglik(ds, model.ModelParams(K=k_gls, Lam=truth.Lam, rho=truth.rho))
-        grad = model.marginal_loglik_grad_k(ds, model.ModelParams(K=k_gls, Lam=truth.Lam, rho=truth.rho))
-        assert np.max(np.abs(grad)) < 1e-8
         for delta in ([0.01, 0.0], [0.0, -0.01], [0.005, 0.005]):
             other = model.ModelParams(K=k_gls + np.array(delta), Lam=truth.Lam, rho=truth.rho)
             assert model.marginal_loglik(ds, other) < at_gls
+
+
+def inv_exact(M):
+    """Gauss-Jordan inverse of an SPD matrix of Fractions, exactly."""
+    d = len(M)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(M)]
+    for j in range(d):
+        aug[j] = [v / aug[j][j] for v in aug[j]]
+        for k in range(d):
+            if k != j:
+                f = aug[k][j]
+                aug[k] = [a - f * b for a, b in zip(aug[k], aug[j])]
+    return [row[d:] for row in aug]
+
+
+def det_exact(M):
+    """Determinant of a 1x1, 2x2 or 3x3 matrix of Fractions."""
+    if len(M) == 1:
+        return M[0][0]
+    if len(M) == 2:
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    return sum(M[0][j] * det_exact([row[:j] + row[j + 1 :] for row in M[1:]]) * (-1) ** j for j in range(3))
+
+
+class TestBetaGaussian:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rho_s", [0.0, 1e-3, 1.0, 1e3, 1e6])
+    def test_matches_direct_inversion(self, d, rho_s):
+        # reference: each precision Lambda + rho D_i D_i^T inverted directly,
+        # in exact rational arithmetic so that its own rounding does not count
+        rng = np.random.default_rng(d)
+        B = rng.standard_normal((d, d))
+        A = B @ B.T + 0.3 * np.eye(d)  # random SPD covariance, so Lambda = A^-1
+        D = rng.standard_normal((12, d))
+        D[:3] = 0.0
+        D[3:6] *= 1e-4
+        x = rng.standard_normal(12)
+        K = rng.standard_normal(d)
+        rho = rho_s / np.einsum("vi,ij,vj->v", D, A, D).max()  # largest rho s_i is rho_s
+        q = model.BetaGaussian(A, rho, D)
+
+        F = np.vectorize(Fraction, otypes=[object])
+        lam = inv_exact(F(A).tolist())
+        mean, cov, logdet, quad = [], [], [], []
+        for Di, xi in zip(F(D).tolist(), F(x).tolist()):
+            prec = [[lam[j][k] + Fraction(rho) * Di[j] * Di[k] for k in range(d)] for j in range(d)]
+            sigma = inv_exact(prec)
+            rhs = [sum(lam[j][k] * Fraction(K[k]) for k in range(d)) + Fraction(rho) * xi * Di[j] for j in range(d)]
+            mean.append([float(sum(sigma[j][k] * rhs[k] for k in range(d))) for j in range(d)])
+            cov.append([[float(v) for v in row] for row in sigma])
+            det = det_exact(sigma)
+            logdet.append(math.log(det.numerator) - math.log(det.denominator))
+            quad.append(float(sum(Di[j] * sigma[j][k] * Di[k] for j in range(d) for k in range(d))))
+
+        np.testing.assert_allclose(q.mean(K, x), mean, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(q.cov(), cov, rtol=0, atol=1e-14 * np.abs(A).max())
+        np.testing.assert_allclose(q.logdet(), logdet, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(q.quad(), quad, rtol=1e-13, atol=0)
+        # an uninformative profile leaves the prior exactly
+        np.testing.assert_array_equal(q.mean(K, x)[:3], np.broadcast_to(K, (3, d)))
+        np.testing.assert_array_equal(q.cov()[:3], np.broadcast_to(A, (3, d, d)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_draw_applies_cholesky_factor_of_covariance(self, d):
+        rng = np.random.default_rng(d + 7)
+        B = rng.standard_normal((d, d))
+        A = B @ B.T + 0.3 * np.eye(d)
+        D = rng.standard_normal((20, d))
+        D[:2] = 0.0
+        mean = rng.standard_normal((20, d))
+        u = rng.standard_normal((20, d))
+        q = model.BetaGaussian(A, 50.0, D)
+        want = mean + np.einsum("vij,vj->vi", np.linalg.cholesky(q.cov()), u)
+        np.testing.assert_allclose(q.draw(mean, u), want, rtol=1e-10, atol=1e-12)
 
 
 class TestValidation:

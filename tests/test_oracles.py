@@ -84,12 +84,10 @@ class TestMcElbo:
             lam_beta=state.lam_beta * 1e8,
             k0k=state.k0k,
             lam0l_inv=state.lam0l_inv,
-            e_beta=state.e_beta,
             e_bbt=state.e_bbt,
-            e_lam=state.e_lam,
             e_rho=state.e_rho,
-            e_k=state.e_k,
-            e_lamk=state.e_lamk,
+            beta_cov0=state.beta_cov0,
+            beta_rho=state.beta_rho,
         )
         mc = oracles.oracle_mc_elbo(tight, ds, hp, 10_000, RngStream(79))
         # with beta and rho pinned, the remaining spread comes from (K, Lambda)

@@ -11,7 +11,6 @@ from tissuemix.samplers import (
     philox4x32,
     sample_gamma,
     sample_mvn,
-    sample_mvn_batched,
     sample_wishart,
 )
 
@@ -226,43 +225,3 @@ class TestWishart:
         assert abs(draws.mean() - 7 * scale) < 4 * se
         res = stats.kstest(draws / scale, stats.chi2(7).cdf)
         assert res.pvalue > 0.001
-
-
-class TestMvnBatched:
-    def test_identical_items_distinct_streams_differ(self):
-        ss = RngStreamSet.for_batch(40, 6)
-        means = np.zeros((6, 2))
-        precs = np.broadcast_to(np.eye(2), (6, 2, 2)).copy()
-        out = sample_mvn_batched(ss, means, precs)
-        assert len({tuple(row) for row in out.round(12)}) == 6
-
-    def test_batch_of_one_matches_single_sampler(self):
-        ss = RngStreamSet(7, np.array([3], dtype=np.uint64))
-        mean = np.array([[1.0, 2.0]])
-        prec = np.array([[[2.0, 0.1], [0.1, 1.0]]])
-        batched = sample_mvn_batched(ss, mean, prec)
-        single = sample_mvn(RngStream(7, 3), mean[0], prec[0], mode="precision")
-        np.testing.assert_array_equal(batched[0], single)
-
-    def test_per_item_moments(self):
-        n = 100_000
-        ss = RngStreamSet.for_batch(41, n)
-        mean = np.tile([1.0, -2.0], (n, 1))
-        prec = np.broadcast_to(np.linalg.inv(np.array([[2.0, 1.0], [1.0, 2.0]])), (n, 2, 2)).copy()
-        out = sample_mvn_batched(ss, mean, prec)
-        assert np.all(np.abs(out.mean(0) - [1.0, -2.0]) < 3 * np.sqrt(2.0 / n))
-        emp = np.cov(out.T)
-        assert np.linalg.norm(emp - [[2.0, 1.0], [1.0, 2.0]]) < 0.05 * 3.0
-
-    def test_stream_permutation_permutes_output(self):
-        ids = np.array([10, 11, 12, 13], dtype=np.uint64)
-        means = np.arange(8.0).reshape(4, 2)
-        precs = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
-        perm = np.array([2, 0, 3, 1])
-        a = sample_mvn_batched(RngStreamSet(5, ids), means, precs)
-        b = sample_mvn_batched(RngStreamSet(5, ids[perm]), means[perm], precs[perm])
-        np.testing.assert_array_equal(b, a[perm])
-
-    def test_stream_count_mismatch(self):
-        with pytest.raises(ValueError, match="streams"):
-            sample_mvn_batched(RngStreamSet.for_batch(1, 2), np.zeros((3, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)))

@@ -90,7 +90,7 @@ class TestStep:
     def test_posterior_beta_covariance_spd(self):
         ds, hp, state, _ = fit_small(max_iter=20)
         sigma = linalg.inverse_batched(state.lam_beta)
-        cov = state.e_bbt - np.einsum("vi,vj->vij", state.e_beta, state.e_beta)
+        cov = state.e_bbt - np.einsum("vi,vj->vij", state.mu_beta, state.mu_beta)
         np.testing.assert_allclose(cov, sigma, atol=1e-10)
         linalg.cholesky_batched(cov + 1e-13 * np.eye(2))
 
