@@ -11,7 +11,10 @@ Samplers:
   boosted draw Gamma(a+1) * U^(1/a) for shape < 1;
 * multivariate normal -- mean + L u with L the Cholesky factor of the
   covariance (a precision matrix is inverted first);
-* Wishart -- sum of dof outer products of correlated normal vectors.
+* Wishart -- sum of dof outer products of correlated normal vectors
+  (sample_wishart, one draw), or the Bartlett decomposition
+  (wishart_factors, a batch of lower-triangular factors from d gamma
+  calls and one normal call, whatever the dof).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "sample_gamma",
     "sample_mvn",
     "sample_wishart",
+    "wishart_factors",
 ]
 
 _U32 = np.uint64(0xFFFFFFFF)
@@ -284,3 +288,25 @@ def sample_wishart(rng, p: WishartParams) -> np.ndarray:
     u = rng.normals(int(p.n) * dim).reshape(int(p.n), dim)
     S = u @ R.T  # row i is (R u_i)^T
     return S.T @ S
+
+
+def wishart_factors(rng, p: WishartParams, n: int) -> np.ndarray:
+    """n lower-triangular factors F with F F^T ~ Wishart(p), shape (n, d, d).
+
+    Bartlett decomposition (Smith & Hocking 1972, Appl. Stat. AS 53):
+    F = L A with L the Cholesky factor of the scale and A lower-triangular,
+    A_jj = sqrt(chi2(dof - j)) for j = 0..d-1 and iid standard normals
+    below the diagonal. The stream is read in d vectorized gamma calls
+    (the chi-squares, diagonal entry by diagonal entry) and then one
+    normal call, so the cost does not grow with the dof.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    dim = p.scale.shape[0]
+    L = linalg.cholesky_batched(p.scale)
+    A = np.zeros((n, dim, dim))
+    for j in range(dim):
+        A[:, j, j] = np.sqrt(sample_gamma(rng, GammaParams(0.5 * (p.n - j), 0.5), size=n))
+    rows, cols = np.tril_indices(dim, -1)
+    A[:, rows, cols] = rng.normals(n * len(rows)).reshape(n, len(rows))
+    return L @ A

@@ -23,6 +23,10 @@ across worker threads; all reductions use the fixed-tree contract, so
 results are bit-identical for any worker count. vb_fit sweeps the genes
 in an order set by their data, so its result is also bit-identical for
 any order of the input genes.
+
+A fitted Q is reported in closed form (vb_summary: t marginals for K and
+the full weights, Gamma for rho) and sampled by Bartlett draws of Lambda
+(vb_posterior_sample), whose cost does not grow with V.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln, multigammaln
+from scipy.special import digamma, gammaincinv, gammaln, multigammaln, stdtrit
 
 from . import linalg
-from .model import BetaGaussian, Dataset, HyperParams
-from .samplers import GammaParams, RngStream, sample_gamma
+from .model import BetaGaussian, Dataset, HyperParams, full_weights
+from .samplers import GammaParams, RngStream, WishartParams, sample_gamma, wishart_factors
 
 __all__ = [
     "VbState",
@@ -44,6 +48,7 @@ __all__ = [
     "vb_init",
     "vb_posterior_sample",
     "vb_step",
+    "vb_summary",
 ]
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -494,31 +499,62 @@ def vb_posterior_sample(
 ) -> dict[str, np.ndarray]:
     """Joint draws of (K, Lambda, rho) from the fitted Q.
 
-    Lambda is drawn first (Wishart with dof n0+V and the fitted scale),
-    then K given that Lambda, then rho from its Gamma block. Returns
-    arrays 'K' (n, d), 'Lambda' (n, d, d), 'rho' (n,).
+    Lambda = F F^T from the Bartlett factors F of Wishart(n0+V, scale)
+    (samplers.wishart_factors), then K = k0k + F^-T u / sqrt(q0+V), a
+    draw from N(k0k, ((q0+V) Lambda)^-1) by one triangular solve per
+    draw, then rho from its Gamma block. The stream is read in a fixed
+    number of calls whatever V and n_samples (gamma rejection rounds
+    aside). Returns arrays 'K' (n, d), 'Lambda' (n, d, d), 'rho' (n,).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     d = state.dim
-    nu = hp.n0 + V
-    qv = hp.q0 + V
     scale = linalg.inverse_batched(state.lam0l_inv)
-    R = linalg.cholesky_batched(scale)
-    k_draws = np.empty((n_samples, d))
-    lam_draws = np.empty((n_samples, d, d))
-    chunk = max(1, min(n_samples, 4_000_000 // max(nu * d, 1)))
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        u = rng.normals(m * nu * d).reshape(m, nu, d)
-        S = u @ R.T
-        lam = np.einsum("mnd,mne->mde", S, S)
-        lam_draws[done : done + m] = lam
-        cov_k = linalg.inverse_batched(qv * lam)
-        Lk = linalg.cholesky_batched(cov_k)
-        uk = rng.normals(m * d).reshape(m, d)
-        k_draws[done : done + m] = state.k0k + np.einsum("mij,mj->mi", Lk, uk)
-        done += m
+    F = wishart_factors(rng, WishartParams(hp.n0 + V, scale), n_samples)
+    lam = F @ F.transpose(0, 2, 1)
+    lam = 0.5 * (lam + lam.transpose(0, 2, 1))
+    # Back substitution for F^T x = u; row i of F^T is column i of F.
+    u = rng.normals(n_samples * d).reshape(n_samples, d)
+    x = np.empty_like(u)
+    for i in reversed(range(d)):
+        x[:, i] = (u[:, i] - np.sum(F[:, i + 1 :, i] * x[:, i + 1 :], axis=1)) / F[:, i, i]
+    k_draws = state.k0k + x / np.sqrt(hp.q0 + V)
     rho_draws = sample_gamma(rng, GammaParams(state.a_rho, state.b_rho), size=n_samples)
-    return {"K": k_draws, "Lambda": lam_draws, "rho": np.asarray(rho_draws)}
+    return {"K": k_draws, "Lambda": lam, "rho": np.asarray(rho_draws)}
+
+
+def _t_marginal(loc: float, scale: float, dof: float) -> dict:
+    half = float(stdtrit(dof, 0.975)) * scale
+    return {"mode": float(loc), "mean": float(loc), "ci95": [float(loc - half), float(loc + half)]}
+
+
+def vb_summary(state: VbState, hp: HyperParams, V: int) -> dict:
+    """Mode, mean and central 95% interval of each marginal of the fitted Q.
+
+    Same shape as analysis.summarize, but exact rather than estimated from
+    draws. Under Q, K is multivariate t with nu - d + 1 degrees of
+    freedom (nu = n0 + V), location k0k and scale matrix
+    lam0l_inv / ((nu - d + 1)(q0 + V)); each full weight is an affine map
+    of K, so it is univariate t with the same degrees of freedom. rho is
+    Gamma(a_rho, b_rho), whose mode is (a_rho - 1)/b_rho (0 when
+    a_rho <= 1). Lambda_mean is nu lam0l_inv^-1.
+    """
+    d = state.dim
+    nu = hp.n0 + V
+    dof = nu - d + 1
+    scale = state.lam0l_inv / (dof * (hp.q0 + V))
+    J = np.vstack([np.eye(d), -np.ones((1, d))])  # full weights = e_last + J K
+    loc = full_weights(state.k0k)
+    sd = np.sqrt(np.diag(J @ scale @ J.T))  # the first d are the sds of K
+    a, b = float(state.a_rho), float(state.b_rho)
+    lo, hi = gammaincinv(a, [0.025, 0.975]) / b
+    weights = {f"w{j + 1}": _t_marginal(loc[j], sd[j], dof) for j in range(d + 1)}
+    weights["mode_vector"] = [float(m) for m in loc]
+    return {
+        "parameters": {
+            **{f"K{j + 1}": _t_marginal(loc[j], sd[j], dof) for j in range(d)},
+            "rho": {"mode": max(a - 1.0, 0.0) / b, "mean": a / b, "ci95": [float(lo), float(hi)]},
+            "Lambda_mean": (nu * linalg.inverse_batched(state.lam0l_inv)).tolist(),
+        },
+        "full_weights": weights,
+    }

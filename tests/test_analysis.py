@@ -100,6 +100,39 @@ class TestKdeMode:
             analysis.kde_mode(kde, n=100)
 
 
+class TestClampedKernel:
+    @staticmethod
+    def unclamped(model, x):
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        z = (x[:, None] - model.samples[None, :]) / model.bandwidth
+        norm = 1.0 / (len(model.samples) * model.bandwidth * np.sqrt(2.0 * np.pi))
+        return norm * np.exp(-0.5 * z**2).sum(axis=1)
+
+    def test_grid_and_mode_equal_direct_unclamped_evaluation(self, monkeypatch):
+        # Outliers put many grid-sample pairs beyond |z| = 37.7, where the
+        # unclamped kernel is subnormal or zero, while every grid point
+        # stays within a few dozen bandwidths of a sample (a point farther
+        # from every sample has a density near 1e-304 instead of 0).
+        rng = np.random.default_rng(9)
+        x = np.concatenate([rng.standard_normal(3000), [-9.0, -7.5, 8.0, 10.0]])
+        kde = analysis.kde_fit(x)
+        want = self.unclamped(kde, np.linspace(x.min() - 4 * kde.bandwidth, x.max() + 4 * kde.bandwidth, 512))
+        z = (x.max() - x[None, :]) / kde.bandwidth
+        assert np.any(-0.5 * z**2 < -708.4) and want.min() > 1e-280
+        got = analysis.kde_grid(kde)
+        got_mode = analysis.kde_mode(kde)
+        monkeypatch.setattr(analysis, "kde_density", self.unclamped)
+        ref = analysis.kde_grid(kde)
+        np.testing.assert_array_equal(got.density, ref.density)
+        np.testing.assert_array_equal(got.density, want)
+        assert got.mode == ref.mode
+        assert got_mode == analysis.kde_mode(kde)
+
+    def test_grid_mode_is_kde_mode(self):
+        kde = analysis.kde_fit(np.random.default_rng(10).gamma(3.0, size=2000))
+        assert analysis.kde_grid(kde, n=600).mode == analysis.kde_mode(kde, n=600)[0]
+
+
 class TestSummarize:
     def test_constant_weight_samples(self):
         K = np.tile([0.1, 0.3], (200, 1))

@@ -31,6 +31,40 @@ def synth_file(tmp_path):
     return out
 
 
+def repr_writer(path, header, rows):
+    """The per-value CSV writer that cli._write_csv must match byte for byte."""
+
+    def fmt(x):
+        if isinstance(x, (bool, np.bool_)):
+            return x
+        if isinstance(x, (int, np.integer)):
+            return int(x)
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        return x
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(x) for x in row])
+
+
+def test_write_csv_matches_repr_writer(tmp_path):
+    columns = [
+        np.array([-0.0, 1e-300, 5e-324, np.inf, np.nan, 0.1, -2.5e17]),
+        np.array([2**62, -(2**63), 0, 7, 1, -1, 123456789012], dtype=np.int64),
+        np.array([True, False, True, True, False, False, True]),
+        np.array([1.5, -0.0, 3.0, 1e-310, 2.0**-30, 1e16, 33.3], dtype=np.float32),
+        [2**70, 3, 4, 5, 6, 7, 8],
+        ["serial", "parallel", "a", "b", "c", "d", "e"],
+    ]
+    header = ["f64", "i64", "bool", "f32", "bigint", "text"]
+    cli._write_csv(str(tmp_path / "new.csv"), header, columns)
+    repr_writer(str(tmp_path / "old.csv"), header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestSynth:
     def test_zero_genes_is_usage_error(self, tmp_path):
         rc = run(["synth", "--genes", "0", "--true-k", "0.1,0.3", "--out", str(tmp_path / "x.csv")])
@@ -92,6 +126,24 @@ class TestFit:
         assert sweeps == sorted(set(sweeps)) and sweeps[-1] <= report["iterations"]
         assert report["iterations"] <= len(sweeps) + report["rejected_steps"] <= 80
         assert report["stop_reason"] in ("tolerance", "max_iter")
+
+    def test_vb_zero_samples_is_usage_error_before_reading(self, tmp_path):
+        # the dataset does not exist: reading it first would exit 4
+        out = tmp_path / "vb"
+        rc = run(["fit", "--method", "vb", "--dataset", str(tmp_path / "nope.csv"), "--out", str(out),
+                  "--samples", "0"])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
+    def test_vb_fifty_samples_gives_fifty_rows(self, synth_file, tmp_path):
+        out = tmp_path / "vb"
+        rc = run(["fit", "--method", "vb", "--dataset", str(synth_file), "--out", str(out),
+                  "--samples", "50", "--max-iter", "40"])
+        assert rc == 0
+        with open(out / "samples.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) - 1 == 50
+        estimates = read_json(out / "report.json")["estimates"]
+        assert estimates["summary"]["full_weights"]["mode_vector"] == estimates["full_weights"]
 
     def test_gibbs_ten_iterations_gives_ten_rows(self, synth_file, tmp_path):
         out = tmp_path / "g"

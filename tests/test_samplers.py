@@ -12,6 +12,7 @@ from tissuemix.samplers import (
     sample_gamma,
     sample_mvn,
     sample_wishart,
+    wishart_factors,
 )
 
 from conftest import ZeroStream
@@ -225,3 +226,45 @@ class TestWishart:
         assert abs(draws.mean() - 7 * scale) < 4 * se
         res = stats.kstest(draws / scale, stats.chi2(7).cdf)
         assert res.pvalue > 0.001
+
+
+class TestWishartFactors:
+    SCALES = {
+        1: np.array([[2.0]]),
+        2: np.array([[1.0, 0.2], [0.2, 0.5]]),
+        3: np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.5]]),
+    }
+
+    @pytest.mark.parametrize("d, dof", [(d, dof) for d in (1, 2, 3) for dof in (d, d + 1, 4001)])
+    def test_moments(self, d, dof):
+        # W = F F^T ~ Wishart(dof, S): E[W_ij] = dof S_ij and
+        # Var[W_ij] = dof (S_ij^2 + S_ii S_jj). The variance's z uses the
+        # sample's own fourth central moment.
+        S = self.SCALES[d]
+        n = 40_000
+        F = wishart_factors(RngStream(35, 10 * d + min(dof - d, 2)), WishartParams(dof, S), n)
+        assert F.shape == (n, d, d)
+        W = F @ F.transpose(0, 2, 1)
+        var = dof * (S**2 + np.outer(np.diag(S), np.diag(S)))
+        z_mean = (W.mean(0) - dof * S) / np.sqrt(var / n)
+        dev = W - W.mean(0)
+        m2, m4 = (dev**2).mean(0), (dev**4).mean(0)
+        z_var = (m2 - var) / np.sqrt((m4 - m2**2) / n)
+        assert np.max(np.abs(z_mean)) < 5.0
+        assert np.max(np.abs(z_var)) < 5.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lower_triangular_with_positive_diagonal(self, d):
+        F = wishart_factors(RngStream(36), WishartParams(d, self.SCALES[d]), 500)
+        assert np.all(np.triu(F, 1) == 0.0)
+        assert np.all(np.diagonal(F, axis1=1, axis2=2) > 0.0)
+
+    def test_reproducible(self):
+        p = WishartParams(5, self.SCALES[2])
+        np.testing.assert_array_equal(
+            wishart_factors(RngStream(37), p, 100), wishart_factors(RngStream(37), p, 100)
+        )
+
+    def test_count_validated(self):
+        with pytest.raises(ValueError):
+            wishart_factors(RngStream(38), WishartParams(3, np.eye(2)), 0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import stats
 
-from tissuemix import linalg, model, oracles, vb
+from tissuemix import analysis, linalg, model, oracles, vb
 from tissuemix.samplers import RngStream
 
 from conftest import make_dataset, reference_lambda
@@ -299,7 +300,82 @@ class TestPosteriorSample:
         np.testing.assert_array_equal(a["K"], b["K"])
         np.testing.assert_array_equal(a["rho"], b["rho"])
 
+    def test_k_draws_match_t_covariance(self):
+        # Marginally K is multivariate t with nu - d + 1 degrees of freedom,
+        # so its covariance is lam0l_inv / ((nu - d - 1)(q0 + V)).
+        ds, hp, state, _ = fit_small(V=30, seed=18, max_iter=60)
+        n = 200_000
+        K = vb.vb_posterior_sample(RngStream(93), state, hp, ds.V, n)["K"]
+        d = state.dim
+        cov = state.lam0l_inv / ((hp.n0 + ds.V - d - 1) * (hp.q0 + ds.V))
+        dev = K - state.k0k
+        for i in range(d):
+            assert abs(dev[:, i].mean()) < 5.0 * np.sqrt(cov[i, i] / n)
+            for j in range(i, d):
+                x = dev[:, i] * dev[:, j]
+                assert abs(x.mean() - cov[i, j]) < 5.0 * x.std() / np.sqrt(n)
+
+    def test_lambda_draws_symmetric_positive_definite(self):
+        ds, hp, state, _ = fit_small(V=50, seed=16, max_iter=40)
+        lam = vb.vb_posterior_sample(RngStream(94), state, hp, ds.V, 2000)["Lambda"]
+        np.testing.assert_array_equal(lam, lam.transpose(0, 2, 1))
+        assert np.all(np.linalg.eigvalsh(lam)[:, 0] > 0.0)
+
     def test_sample_count_validated(self):
         ds, hp, state, _ = fit_small(V=20, seed=17, max_iter=5)
         with pytest.raises(ValueError):
             vb.vb_posterior_sample(RngStream(92), state, hp, ds.V, 0)
+
+
+class TestSummary:
+    @staticmethod
+    def shape(report):
+        if isinstance(report, dict):
+            return {k: TestSummary.shape(v) for k, v in report.items()}
+        return np.shape(report)
+
+    def test_matches_scipy_marginals(self):
+        ds, hp, state, _ = fit_small(V=300, seed=19, max_iter=200)
+        got = vb.vb_summary(state, hp, ds.V)
+        d, nu, qv = state.dim, hp.n0 + ds.V, hp.q0 + ds.V
+        df = nu - d + 1
+        scale = state.lam0l_inv / (df * qv)
+        J = np.vstack([np.eye(d), -np.ones((1, d))])
+        loc_w = np.append(state.k0k, 1.0 - state.k0k.sum())
+        sd_w = np.sqrt(np.diag(J @ scale @ J.T))
+        for j in range(d + 1):
+            want = stats.t(df, loc=loc_w[j], scale=sd_w[j])
+            for block, name in (("full_weights", f"w{j + 1}"), ("parameters", f"K{j + 1}")):
+                if name == f"K{d + 1}":
+                    continue
+                entry = got[block][name]
+                np.testing.assert_allclose(entry["ci95"], want.ppf([0.025, 0.975]), rtol=1e-12)
+                assert entry["mean"] == pytest.approx(want.mean(), rel=1e-12)
+                assert entry["mode"] == entry["mean"]
+        np.testing.assert_allclose(got["full_weights"]["mode_vector"], loc_w, rtol=1e-12)
+        g = stats.gamma(state.a_rho, scale=1.0 / state.b_rho)
+        rho = got["parameters"]["rho"]
+        np.testing.assert_allclose(rho["ci95"], g.ppf([0.025, 0.975]), rtol=1e-12)
+        assert rho["mean"] == pytest.approx(g.mean(), rel=1e-12)
+        assert rho["mode"] == pytest.approx((state.a_rho - 1.0) / state.b_rho, rel=1e-12)
+        np.testing.assert_allclose(got["parameters"]["Lambda_mean"], nu * np.linalg.inv(state.lam0l_inv), rtol=1e-12)
+
+    def test_agrees_with_summarize_on_draws(self):
+        ds, hp, state, _ = fit_small(V=300, seed=19, max_iter=200)
+        draws = vb.vb_posterior_sample(RngStream(95), state, hp, ds.V, 200_000)
+        exact = vb.vb_summary(state, hp, ds.V)
+        est = analysis.summarize(draws)
+        assert self.shape(exact) == self.shape(est)
+        for block in ("parameters", "full_weights"):
+            for name, entry in exact[block].items():
+                if name in ("Lambda_mean", "mode_vector"):
+                    continue
+                sd = (entry["ci95"][1] - entry["ci95"][0]) / 3.92
+                # quantile standard errors are near 0.006 sd at n = 200k
+                np.testing.assert_allclose(est[block][name]["ci95"], entry["ci95"], atol=0.03 * sd)
+                assert abs(est[block][name]["mean"] - entry["mean"]) < 5.0 * sd / np.sqrt(len(draws["rho"]))
+                # the KDE mode of 200k draws strays by up to about 0.1 sd
+                assert abs(est[block][name]["mode"] - entry["mode"]) < 0.3 * sd
+        np.testing.assert_allclose(
+            est["parameters"]["Lambda_mean"], exact["parameters"]["Lambda_mean"], rtol=0.01
+        )
