@@ -105,7 +105,7 @@ def lambda_full_conditional(
     rate; its inverse is the sampling scale. Degrees of freedom n0+V+1.
     """
     dk = K - hp.K0
-    rate = linalg.inverse_batched(hp.Lambda0) + hp.q0 * np.outer(dk, dk) + beta_scatter
+    rate = hp.Lambda0_inv + hp.q0 * np.outer(dk, dk) + beta_scatter
     rate = 0.5 * (rate + rate.T)
     scale = linalg.spd_jitter_retry(linalg.inverse_batched, rate, "Lambda conditional rate")
     return WishartParams(hp.n0 + V + 1, 0.5 * (scale + scale.T))
@@ -178,7 +178,7 @@ def overdispersed_init(rng: RngStream, ds: Dataset, hp: HyperParams, inflate: fl
     is jittered multiplicatively, and the betas start at the drawn K.
     """
     d = ds.dim
-    scale = np.sqrt(np.diag(linalg.inverse_batched(hp.Lambda0)))
+    scale = np.sqrt(np.diag(hp.Lambda0_inv))
     K = hp.K0 + inflate * scale * rng.normals(d)
     rho = (hp.a0 / hp.b0) * np.exp(inflate * 0.5 * float(rng.normals(1)[0]))
     return ChainState(

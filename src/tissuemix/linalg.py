@@ -18,6 +18,7 @@ regardless of how many workers execute the chunks.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -65,7 +66,7 @@ class NumericError(RuntimeError):
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise FloatingPointError(f"non-finite values in {name}")
 
 
@@ -108,59 +109,53 @@ def gemm_batched(A, B, transa=False, transb=False, alpha=1.0, beta=0.0, C=None):
     return out
 
 
-def _inv2(A):
-    a, b = A[:, 0, 0], A[:, 0, 1]
-    c, d = A[:, 1, 0], A[:, 1, 1]
-    det = a * d - b * c
-    bad = np.abs(det) < DET_GUARD
-    if np.any(bad):
-        raise BatchItemError("singular 2x2 item", np.nonzero(bad)[0])
-    out = np.empty_like(A)
-    inv_det = 1.0 / det
-    out[:, 0, 0] = d * inv_det
-    out[:, 0, 1] = -b * inv_det
-    out[:, 1, 0] = -c * inv_det
-    out[:, 1, 1] = a * inv_det
-    return out
+def _adjugate(m, n: int):
+    """Determinant and adjugate of an n x n matrix, n <= 3, entry by entry.
+
+    m[i][j] is a float (one matrix) or an array over the batch, so a single
+    matrix and a batch go through the same operations in the same order.
+    The adjugate is a nested list indexed like m.
+    """
+    if n == 1:
+        return m[0][0], [[1.0]]
+    if n == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c, [[d, -b], [-c, a]]
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = m
+    c00 = a11 * a22 - a12 * a21
+    c01 = a12 * a20 - a10 * a22
+    c02 = a10 * a21 - a11 * a20
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    c10 = a02 * a21 - a01 * a22
+    c11 = a00 * a22 - a02 * a20
+    c12 = a01 * a20 - a00 * a21
+    c20 = a01 * a12 - a02 * a11
+    c21 = a02 * a10 - a00 * a12
+    c22 = a00 * a11 - a01 * a10
+    return det, [[c00, c10, c20], [c01, c11, c21], [c02, c12, c22]]
 
 
-def _inv3(A):
-    # Adjugate over determinant, cofactor by cofactor.
-    c00 = A[:, 1, 1] * A[:, 2, 2] - A[:, 1, 2] * A[:, 2, 1]
-    c01 = A[:, 1, 2] * A[:, 2, 0] - A[:, 1, 0] * A[:, 2, 2]
-    c02 = A[:, 1, 0] * A[:, 2, 1] - A[:, 1, 1] * A[:, 2, 0]
-    det = A[:, 0, 0] * c00 + A[:, 0, 1] * c01 + A[:, 0, 2] * c02
-    bad = np.abs(det) < DET_GUARD
-    if np.any(bad):
-        raise BatchItemError("singular 3x3 item", np.nonzero(bad)[0])
-    c10 = A[:, 0, 2] * A[:, 2, 1] - A[:, 0, 1] * A[:, 2, 2]
-    c11 = A[:, 0, 0] * A[:, 2, 2] - A[:, 0, 2] * A[:, 2, 0]
-    c12 = A[:, 0, 1] * A[:, 2, 0] - A[:, 0, 0] * A[:, 2, 1]
-    c20 = A[:, 0, 1] * A[:, 1, 2] - A[:, 0, 2] * A[:, 1, 1]
-    c21 = A[:, 0, 2] * A[:, 1, 0] - A[:, 0, 0] * A[:, 1, 2]
-    c22 = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-    out = np.empty_like(A)
-    inv_det = 1.0 / det
-    out[:, 0, 0] = c00 * inv_det
-    out[:, 0, 1] = c10 * inv_det
-    out[:, 0, 2] = c20 * inv_det
-    out[:, 1, 0] = c01 * inv_det
-    out[:, 1, 1] = c11 * inv_det
-    out[:, 1, 2] = c21 * inv_det
-    out[:, 2, 0] = c02 * inv_det
-    out[:, 2, 1] = c12 * inv_det
-    out[:, 2, 2] = c22 * inv_det
-    return out
+def _small_single(A: np.ndarray) -> bool:
+    """A is one d x d matrix with d <= 3, which the scalar fast paths take."""
+    return A.ndim == 2 and 1 <= A.shape[0] == A.shape[1] <= 3
 
 
 def inverse_batched(A):
     """Invert every item of a square MatBatch.
 
     Sizes 1--3 use closed-form adjugate formulas with a |det| >= 1e-300
-    guard; larger sizes fall back to LU with partial pivoting. Raises
+    guard (on a single matrix, in scalar arithmetic with the same result);
+    larger sizes fall back to LU with partial pivoting. Raises
     BatchItemError naming the singular items.
     """
     A = np.asarray(A, dtype=np.float64)
+    if _small_single(A):
+        _check_finite(A, "A")
+        det, adj = _adjugate(A.tolist(), A.shape[0])
+        if not abs(det) < DET_GUARD:
+            inv_det = 1.0 / det
+            return np.array([[x * inv_det for x in row] for row in adj])
+        # a singular matrix raises from the batched path below
     single = A.ndim == 2
     if single:
         A = A[None, :, :]
@@ -168,16 +163,16 @@ def inverse_batched(A):
         raise ValueError(f"expected square items, got shape {A.shape}")
     _check_finite(A, "A")
     n = A.shape[-1]
-    if n == 1:
-        det = A[:, 0, 0]
+    if 1 <= n <= 3:
+        det, adj = _adjugate([[A[:, i, j] for j in range(n)] for i in range(n)], n)
         bad = np.abs(det) < DET_GUARD
         if np.any(bad):
-            raise BatchItemError("singular 1x1 item", np.nonzero(bad)[0])
-        out = 1.0 / A
-    elif n == 2:
-        out = _inv2(A)
-    elif n == 3:
-        out = _inv3(A)
+            raise BatchItemError(f"singular {n}x{n} item", np.nonzero(bad)[0])
+        inv_det = 1.0 / det
+        out = np.empty_like(A)
+        for i in range(n):
+            for j in range(n):
+                out[:, i, j] = adj[i][j] * inv_det
     else:
         try:
             out = np.linalg.inv(A)
@@ -192,14 +187,47 @@ def inverse_batched(A):
     return out[0] if single else out
 
 
+def _cholesky_single(m: list) -> np.ndarray | None:
+    """Cholesky factor of one small matrix given as nested lists of floats.
+
+    The column sweep of cholesky_batched in scalar arithmetic, operation
+    for operation (sums of squares and dot products start from 0.0).
+    None at the first non-positive pivot.
+    """
+    n = len(m)
+    L = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        sq = 0.0
+        for k in range(j):
+            sq += L[j][k] * L[j][k]
+        s = m[j][j] - sq
+        if s <= 0.0:
+            return None
+        L[j][j] = ljj = math.sqrt(s)
+        for i in range(j + 1, n):
+            dot = 0.0
+            for k in range(j):
+                dot += L[i][k] * L[j][k]
+            L[i][j] = (m[i][j] - dot) / ljj
+    return np.array(L)
+
+
 def cholesky_batched(A):
     """Lower-triangular Cholesky factor of every SPD item.
 
     Returns L with L_i @ L_i.T == A_i; entries above the diagonal are
-    exactly zero. A non-positive pivot raises BatchItemError carrying both
-    the failing item indices and the pivot index per item.
+    exactly zero. A single matrix of size 1--3 is factored in scalar
+    arithmetic with the same result. A non-positive pivot raises
+    BatchItemError carrying both the failing item indices and the pivot
+    index per item.
     """
     A = np.asarray(A, dtype=np.float64)
+    if _small_single(A):
+        _check_finite(A, "A")
+        L = _cholesky_single(A.tolist())
+        if L is not None:
+            return L
+        # a non-positive pivot raises from the batched path below
     single = A.ndim == 2
     if single:
         A = A[None, :, :]

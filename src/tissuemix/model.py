@@ -18,7 +18,7 @@ vector of interest is K (length N-1), completed by 1 - sum(K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,6 +133,8 @@ class HyperParams:
     n0: int
     K0: np.ndarray
     Lambda0: np.ndarray
+    # Lambda0^-1, which every VB sweep and Gibbs step reads: computed once.
+    Lambda0_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.a0 > 0 and self.b0 > 0 and self.q0 > 0 and self.n0 >= 1):
@@ -144,6 +146,7 @@ class HyperParams:
         linalg.cholesky_batched(Lambda0)  # SPD check
         object.__setattr__(self, "K0", K0)
         object.__setattr__(self, "Lambda0", Lambda0)
+        object.__setattr__(self, "Lambda0_inv", _freeze(linalg.inverse_batched(Lambda0)))
         object.__setattr__(self, "n0", int(self.n0))
 
     @property

@@ -6,6 +6,15 @@ stream, which makes batched sampling reproducible regardless of worker
 count or evaluation order: permuting items together with their stream ids
 permutes the output exactly.
 
+A stream keeps a window of blocks it has already computed and serves
+later small calls from it. The window is only a cache of those pure
+(seed, stream_id, block) values: every call consumes the same blocks and
+returns the same numbers as a call that computes its own. It grows by
+doubling while calls continue through it, up to a cap per stream
+(_STREAM_WINDOW) or per set (_SET_WINDOW, summed over its streams); a
+call for more blocks than the cap computes its own, as it always did.
+A stream is still single-owner state, window included.
+
 Samplers:
 * gamma  -- rejection sampler on the cubed-normal transform for shape >= 1,
   boosted draw Gamma(a+1) * U^(1/a) for shape < 1;
@@ -104,22 +113,80 @@ def _uniforms_from_blocks(words: np.ndarray) -> np.ndarray:
     return (u.astype(np.float64) + 1.0) * (2.0 ** -53)
 
 
-def _normals_from_blocks(words: np.ndarray) -> np.ndarray:
-    """Two standard normals per block (Box-Muller on the block's uniforms)."""
-    u = _uniforms_from_blocks(words)
-    r = np.sqrt(-2.0 * np.log(u[..., 0]))
-    theta = 2.0 * np.pi * u[..., 1]
-    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+def _uniform_blocks(seed, stream_ids: np.ndarray, start_block, n_blocks: int) -> np.ndarray:
+    """(len(stream_ids), n_blocks, 2) uniforms of blocks start_block, ... of each stream."""
+    blocks = np.asarray(start_block)[..., None] + np.arange(n_blocks, dtype=np.uint64)
+    return _uniforms_from_blocks(_blocks(seed, stream_ids[..., None], blocks))
+
+
+def _values(u: np.ndarray, n_values: int, kind) -> np.ndarray:
+    """The first n_values uniforms or normals of each stream's (blocks, 2) uniforms.
+
+    Two standard normals per block, by Box-Muller on the block's uniforms.
+    """
+    if kind == "normal":
+        r = np.sqrt(-2.0 * np.log(u[..., 0]))
+        theta = 2.0 * np.pi * u[..., 1]
+        u = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    return u.reshape(u.shape[:-2] + (2 * u.shape[-2],))[..., :n_values]
 
 
 def _draw(seed, stream_ids, start_block, n_values, kind) -> np.ndarray:
     """(len(stream_ids), n_values) uniforms or normals, consuming whole blocks."""
     stream_ids = np.atleast_1d(np.asarray(stream_ids))
+    return _values(_uniform_blocks(seed, stream_ids, start_block, -(-n_values // _PER_BLOCK)), n_values, kind)
+
+
+# Window caps, in blocks: per stream, and summed over a set's streams.
+_STREAM_WINDOW = 512
+_SET_WINDOW = 4096
+
+
+@dataclass
+class _Window:
+    """Blocks [start, start + u.shape[1]) of each of a set of streams."""
+
+    start: int
+    u: np.ndarray  # (streams, blocks, 2) uniforms
+    made: dict = field(default_factory=dict)  # kind -> (streams, 2 * blocks) values
+
+    @property
+    def end(self) -> int:
+        return self.start + self.u.shape[1]
+
+    def values(self, kind) -> np.ndarray:
+        """All of the window's uniforms or normals, made on first use."""
+        if kind not in self.made:
+            self.made[kind] = _values(self.u, 2 * self.u.shape[1], kind)
+        return self.made[kind]
+
+
+def _take(owner, n_values: int, kind, cap: int) -> np.ndarray:
+    """(streams, n_values) values at owner._block; advances it past them.
+
+    Served from owner._window, which is refilled from the call's first
+    block when the call runs past its end: at double its size while calls
+    continue through it, at its old size after a jump, never below the
+    call's size or above cap. A call for more than cap blocks is drawn on
+    its own and leaves the window as it is.
+    """
     n_blocks = -(-n_values // _PER_BLOCK)
-    blocks = np.asarray(start_block)[..., None] + np.arange(n_blocks, dtype=np.uint64)
-    words = _blocks(seed, stream_ids[..., None], blocks)
-    vals = _normals_from_blocks(words) if kind == "normal" else _uniforms_from_blocks(words)
-    return vals.reshape(stream_ids.shape + (n_blocks * _PER_BLOCK,))[..., :n_values]
+    start = owner._block
+    owner._block = start + n_blocks
+    if n_blocks > cap:
+        return _draw(owner.seed, owner._ids(), start, n_values, kind)
+    w = owner._window
+    if w is None or not w.start <= start <= w.end:
+        size = n_blocks if w is None else w.u.shape[1]
+        w = None
+    elif start + n_blocks > w.end:
+        size = 2 * w.u.shape[1]
+        w = None
+    if w is None:
+        size = min(cap, max(n_blocks, size))
+        w = owner._window = _Window(start, _uniform_blocks(owner.seed, owner._ids(), start, size))
+    lo = _PER_BLOCK * (start - w.start)
+    return w.values(kind)[:, lo : lo + n_values].copy()
 
 
 @dataclass
@@ -129,21 +196,24 @@ class RngStream:
     The same (seed, stream_id) always yields the same sequence; distinct
     stream_ids are statistically independent. The stream is single-owner
     mutable state: it may move between threads but must not be shared.
+    Its window of prefetched blocks caches values that depend only on
+    (seed, stream_id, block), so what a call returns depends only on
+    _block, which may also be set by hand.
     """
 
     seed: int
     stream_id: int = 0
     _block: int = field(default=0, repr=False)
+    _window: _Window | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _ids(self) -> np.ndarray:
+        return np.atleast_1d(np.asarray(self.stream_id))
 
     def uniforms(self, n: int) -> np.ndarray:
-        out = _draw(self.seed, self.stream_id, self._block, n, "uniform")[0]
-        self._block += -(-n // _PER_BLOCK)
-        return out
+        return _take(self, n, "uniform", _STREAM_WINDOW)[0]
 
     def normals(self, n: int) -> np.ndarray:
-        out = _draw(self.seed, self.stream_id, self._block, n, "normal")[0]
-        self._block += -(-n // _PER_BLOCK)
-        return out
+        return _take(self, n, "normal", _STREAM_WINDOW)[0]
 
 
 @dataclass
@@ -153,6 +223,7 @@ class RngStreamSet:
     seed: int
     stream_ids: np.ndarray
     _block: int = field(default=0, repr=False)
+    _window: _Window | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_batch(cls, seed: int, batch: int, base: int = 0) -> "RngStreamSet":
@@ -161,11 +232,12 @@ class RngStreamSet:
     def __len__(self) -> int:
         return len(self.stream_ids)
 
+    def _ids(self) -> np.ndarray:
+        return np.atleast_1d(np.asarray(self.stream_ids))
+
     def normals(self, n_per_item: int) -> np.ndarray:
         """(batch, n_per_item) standard normals, one stream per row."""
-        out = _draw(self.seed, self.stream_ids, self._block, n_per_item, "normal")
-        self._block += -(-n_per_item // _PER_BLOCK)
-        return out
+        return _take(self, n_per_item, "normal", _SET_WINDOW // max(len(self), 1))
 
     def stream(self, index: int) -> RngStream:
         """Single-stream view of one batch index at the current position."""

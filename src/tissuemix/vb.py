@@ -124,7 +124,7 @@ def vb_init(ds: Dataset, hp: HyperParams) -> VbState:
     if hp.dim != ds.dim:
         raise ValueError(f"hyperparams dim {hp.dim} != dataset dim {ds.dim}")
     V, d = ds.V, ds.dim
-    cov0 = linalg.inverse_batched(hp.Lambda0)
+    cov0 = hp.Lambda0_inv
     return VbState(
         a_rho=hp.a0,
         b_rho=hp.b0,
@@ -203,7 +203,7 @@ def vb_step(state: VbState, ds: Dataset, hp: HyperParams, plan: linalg.ExecPlan 
 
     # K / Lambda block from the refreshed beta moments.
     k0k = (sum_mu + hp.q0 * hp.K0) / qv
-    lam0_inv = linalg.inverse_batched(hp.Lambda0)
+    lam0_inv = hp.Lambda0_inv
     lam0l_inv = (
         lam0_inv
         + sum_bbt
@@ -285,7 +285,7 @@ def vb_elbo(state: VbState, ds: Dataset, hp: HyperParams, plan: linalg.ExecPlan 
         + 0.5 * e_lnlam
         - 0.5 * hp.q0 * (nu * float(dk @ S @ dk) + d / qv)
     )
-    lam0_inv = linalg.inverse_batched(hp.Lambda0)
+    lam0_inv = hp.Lambda0_inv
     t_lam = 0.5 * (hp.n0 - d - 1) * e_lnlam - 0.5 * nu * float(np.trace(lam0_inv @ S))
     z_prior = _wishart_log_norm(hp.n0, hp.Lambda0)
     if z_prior is not None:

@@ -160,6 +160,70 @@ class TestCholeskyBatched:
         np.testing.assert_allclose(linalg.cholesky_batched(A), np.linalg.cholesky(A), atol=1e-12)
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSingleMatrixFastPath:
+    """A single d x d matrix with d <= 3 gives what the batched path gives for it."""
+
+    FNS = [linalg.inverse_batched, linalg.cholesky_batched]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([None, 0.0, -0.0]),
+    )
+    def test_spd_equals_batched_bit_for_bit(self, dim, seed, exponent, off_diagonal):
+        A = rand_spd(np.random.default_rng(seed), 1, dim)[0] * 10.0**exponent
+        if off_diagonal is not None and dim > 1:
+            A[1, 0] = A[0, 1] = off_diagonal
+            A[dim - 1, 0] = A[0, dim - 1] = off_diagonal
+        for fn in self.FNS:
+            assert _same_bits(fn(A), fn(A[None])[0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, dim, value):
+        A = np.eye(dim)
+        A[dim - 1, 0] = value
+        for fn in self.FNS:
+            with pytest.raises(FloatingPointError):
+                fn(A)
+
+    SINGULAR = [np.zeros((1, 1)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((3, 3))]
+    INDEFINITE = [np.array([[-2.0]]), np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, 1.0, -1.0])]
+
+    @pytest.mark.parametrize("A", SINGULAR + INDEFINITE)
+    def test_failures_match_batched(self, A):
+        for fn in self.FNS:
+            try:
+                fn(A[None])
+            except linalg.BatchItemError as batched:
+                with pytest.raises(linalg.BatchItemError) as single:
+                    fn(A)
+                assert single.value.indices == batched.indices == [0]
+                assert single.value.pivots == batched.pivots
+                assert str(single.value) == str(batched)
+            else:
+                assert _same_bits(fn(A), fn(A[None])[0])
+
+    @pytest.mark.parametrize("fn", FNS)
+    @pytest.mark.parametrize("A", SINGULAR[1:])
+    def test_jitter_retry_retries_once(self, fn, A):
+        calls = []
+
+        def op(M):
+            calls.append(M.ndim)
+            return fn(M)
+
+        out = linalg.spd_jitter_retry(op, A)
+        assert calls == [2, 2]
+        assert _same_bits(out, linalg.spd_jitter_retry(fn, A[None])[0])
+
+
 class TestReduceSum:
     def test_two_vectors(self):
         out = linalg.reduce_sum(np.array([[1.0, 2.0], [3.0, 4.0]]))

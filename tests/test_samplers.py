@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from tissuemix import linalg
+from tissuemix import linalg, samplers
 from tissuemix.samplers import (
     GammaParams,
     RngStream,
@@ -89,6 +91,71 @@ class TestStreams:
         z = RngStream(77, 0).normals(400_000)
         assert abs(z.mean()) < 3.0 / np.sqrt(len(z))
         assert abs(z.var() - 1.0) < 3.0 * np.sqrt(2.0 / len(z))
+
+
+# Value counts per call: none, one, odd and small, and above the per-stream
+# window cap (samplers._STREAM_WINDOW blocks of two values).
+CALL_SIZES = st.one_of(st.integers(0, 9), st.integers(10, 300), st.integers(1020, 1100))
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+class TestPrefetchWindow:
+    """Each call returns what an unbuffered draw of its blocks returns."""
+
+    @staticmethod
+    def check(stream, seed, stream_ids, kind, n):
+        block = stream._block
+        if kind == "jump":
+            stream._block = n
+            return
+        got = stream.uniforms(n) if kind == "uniform" else stream.normals(n)
+        want = samplers._draw(seed, stream_ids, block, n, kind)
+        want = want[0] if np.ndim(stream_ids) == 0 else want
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert stream._block == block + -(-n // 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(0, 2**40),
+        st.integers(0, 2**20),
+        st.lists(st.tuples(st.sampled_from(["uniform", "normal", "normal", "jump"]), CALL_SIZES), max_size=40),
+    )
+    def test_stream_calls(self, seed, stream_id, start, calls):
+        stream = RngStream(seed, stream_id, start)
+        for kind, n in calls:
+            self.check(stream, seed, stream_id, kind, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        SEEDS,
+        st.sampled_from([1, 2, 3, 56, 4096, 4097]),
+        st.integers(0, 2**20),
+        st.lists(st.tuples(st.sampled_from(["normal", "normal", "jump", "view"]), st.integers(0, 200)), max_size=25),
+    )
+    def test_set_calls_and_views(self, seed, batch, start, calls):
+        streams = RngStreamSet(seed, np.arange(batch, dtype=np.uint64) + np.uint64(1_000_000), _block=start)
+        for kind, n in calls:
+            if batch > 56:
+                n %= 4
+            if kind == "view":
+                index = n % batch
+                view = streams.stream(index)
+                for view_kind, view_n in [("normal", n), ("uniform", 3), ("normal", 1)]:
+                    self.check(view, seed, int(streams.stream_ids[index]), view_kind, view_n)
+            else:
+                self.check(streams, seed, streams.stream_ids, kind, n)
+
+    def test_large_calls_bypass_the_window(self):
+        stream = RngStream(3)
+        stream.normals(5)
+        window = stream._window
+        stream.normals(2 * samplers._STREAM_WINDOW + 1)
+        assert stream._window is window
+        streams = RngStreamSet.for_batch(3, samplers._SET_WINDOW + 1)
+        streams.normals(1)
+        assert streams._window is None
 
 
 class TestGamma:
