@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from statistics import median
 
 import numpy as np
@@ -58,21 +59,23 @@ def write_dataset_csv(path: str, ds: model.Dataset) -> None:
 
 def read_dataset_csv(path: str) -> model.Dataset:
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]), None)
         if not header or header[0] != "r" or len(header) < 3:
             raise UsageError(f"{path}: expected header r,d_1,...,d_N")
-        n = len(header) - 1
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise UsageError(f"{path}: row has {len(row)} fields, expected {n + 1}")
-            records.append(
-                model.RawRecord(float(row[0]), model.ExpressionProfile(np.array(row[1:], dtype=float)))
-            )
-    return model.transform(records)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                body = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            except ValueError as exc:
+                # numpy's advice after a ';' is about its own API, not the file
+                raise UsageError(f"{path}: {str(exc).split(';')[0]}") from None
+    if body.shape[0] == 0:
+        raise UsageError(f"{path}: no records")
+    if body.shape[1] != len(header):
+        raise UsageError(f"{path}: rows have {body.shape[1]} fields, expected {len(header)}")
+    if not np.all(np.isfinite(body)):
+        raise UsageError(f"{path}: non-finite reading or profile entry")
+    return model.from_raw(body[:, 0], body[:, 1:])
 
 
 def read_hyperparams(path: str | None, N: int) -> model.HyperParams:
@@ -229,26 +232,26 @@ def cmd_profiles(args) -> int:
     return EXIT_OK
 
 
-def _fit_vb(ds, hp, args, plan, outdir):
+def _fit_vb(ds, hp, args, plan):
     rng = RngStream(args.seed)
     t0 = time.perf_counter()
     state, trace = vb.vb_fit(ds, hp, max_iter=args.max_iter, rel_tol=args.rel_tol, plan=plan)
     wall = time.perf_counter() - t0
     samples = vb.vb_posterior_sample(rng, state, hp, ds.V, args.samples)
     report = vb.vb_summary(state, hp, ds.V)
-    _write_csv(
-        os.path.join(outdir, "trace.csv"),
-        ["iteration", "elbo", "delta_k0k", "delta_rho", "delta_lam"],
-        [trace.sweep, trace.elbo, trace.delta_k0k, trace.delta_rho, trace.delta_lam],
-    )
     d = ds.dim
-    _write_csv(
-        os.path.join(outdir, "samples.csv"),
-        [f"K{j + 1}" for j in range(d)]
-        + ["rho"]
-        + [f"Lam{i + 1}{j + 1}" for i in range(d) for j in range(d)],
-        [*samples["K"].T, samples["rho"], *samples["Lambda"].reshape(-1, d * d).T],
-    )
+    files = {
+        "trace.csv": (
+            ["iteration", "elbo", "delta_k0k", "delta_rho", "delta_lam"],
+            [trace.sweep, trace.elbo, trace.delta_k0k, trace.delta_rho, trace.delta_lam],
+        ),
+        "samples.csv": (
+            [f"K{j + 1}" for j in range(d)]
+            + ["rho"]
+            + [f"Lam{i + 1}{j + 1}" for i in range(d) for j in range(d)],
+            [*samples["K"].T, samples["rho"], *samples["Lambda"].reshape(-1, d * d).T],
+        ),
+    }
     estimates = {
         "K": state.k0k.tolist(),
         "full_weights": report["full_weights"]["mode_vector"],
@@ -262,30 +265,36 @@ def _fit_vb(ds, hp, args, plan, outdir):
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
     }
-    return estimates, wall, run
+    return estimates, wall, run, files
 
 
-def _fit_em(ds, hp, args, plan, outdir):
+def _fit_em(ds, hp, args, plan):
     init = model.ModelParams(K=hp.K0, Lam=hp.Lambda0, rho=hp.a0 / hp.b0)
     t0 = time.perf_counter()
     params, trace = em.em_fit(ds, init, max_iter=args.max_iter, rel_tol=args.rel_tol, plan=plan)
     wall = time.perf_counter() - t0
-    _write_csv(
-        os.path.join(outdir, "trace.csv"),
-        ["iteration", "loglik"] + [f"K{j + 1}" for j in range(ds.dim)] + ["rho"],
-        [np.arange(1, len(trace) + 1), trace.loglik, *trace.K.T, trace.rho],
-    )
+    files = {
+        "trace.csv": (
+            ["iteration", "loglik"] + [f"K{j + 1}" for j in range(ds.dim)] + ["rho"],
+            [np.arange(1, len(trace) + 1), trace.loglik, *trace.K.T, trace.rho],
+        )
+    }
     estimates = {
         "K": params.K.tolist(),
         "full_weights": model.full_weights(params.K).tolist(),
         "rho": params.rho,
         "Lambda": params.Lam.tolist(),
     }
-    run = {"iterations": len(trace), "converged": trace.converged, "stop_reason": trace.stop_reason}
-    return estimates, wall, run
+    run = {
+        "iterations": len(trace),
+        "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
+        "profile_classes": ds.classes.C,
+    }
+    return estimates, wall, run, files
 
 
-def _fit_gibbs(ds, hp, args, plan, outdir):
+def _fit_gibbs(ds, hp, args, plan):
     burn_in = args.burn_in
     if burn_in is None:
         burn_in = 2_000 if args.iterations > 2_000 else 0
@@ -297,19 +306,19 @@ def _fit_gibbs(ds, hp, args, plan, outdir):
     wall = time.perf_counter() - t0
     d = ds.dim
     steps = np.arange(1, chain.K.shape[0] + 1)
-    _write_csv(
-        os.path.join(outdir, "trace.csv"),
-        ["iteration"] + [f"K{j + 1}" for j in range(d)] + ["rho"],
-        [steps, *chain.K.T, chain.rho],
-    )
-    _write_csv(
-        os.path.join(outdir, "samples.csv"),
-        ["iteration"]
-        + [f"K{j + 1}" for j in range(d)]
-        + ["rho"]
-        + [f"Lam{i + 1}{j + 1}" for i in range(d) for j in range(d)],
-        [steps, *chain.K.T, chain.rho, *chain.Lam.reshape(-1, d * d).T],
-    )
+    files = {
+        "trace.csv": (
+            ["iteration"] + [f"K{j + 1}" for j in range(d)] + ["rho"],
+            [steps, *chain.K.T, chain.rho],
+        ),
+        "samples.csv": (
+            ["iteration"]
+            + [f"K{j + 1}" for j in range(d)]
+            + ["rho"]
+            + [f"Lam{i + 1}{j + 1}" for i in range(d) for j in range(d)],
+            [steps, *chain.K.T, chain.rho, *chain.Lam.reshape(-1, d * d).T],
+        ),
+    }
     k_mean = chain.K.mean(axis=0)
     estimates = {
         "K": k_mean.tolist(),
@@ -319,7 +328,7 @@ def _fit_gibbs(ds, hp, args, plan, outdir):
     }
     if chain.K.shape[0] >= 100:
         estimates["diagnostics"] = gibbs.gibbs_diagnostics(chain)
-    return estimates, wall, {"iterations": chain.config.iterations}
+    return estimates, wall, {"iterations": chain.config.iterations}, files
 
 
 def _retain_freed_memory() -> None:
@@ -349,18 +358,25 @@ def cmd_fit(args) -> int:
     if args.method == "vb" and args.samples < 1:
         raise UsageError("--samples must be >= 1")
     _retain_freed_memory()
+    t_read = time.perf_counter()
     ds = read_dataset_csv(args.dataset)
     hp = read_hyperparams(args.hyperparams, ds.n_networks)
     plan = _plan(args)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     runners = {"vb": _fit_vb, "em": _fit_em, "gibbs": _fit_gibbs}
-    estimates, wall, run = runners[args.method](ds, hp, args, plan, outdir)
+    t_fit = time.perf_counter()
+    estimates, wall, run, files = runners[args.method](ds, hp, args, plan)
+    t_write = time.perf_counter()
+    for name, (header, columns) in files.items():
+        _write_csv(os.path.join(outdir, name), header, columns)
+    t_end = time.perf_counter()
     report = {
         "method": args.method,
         "estimates": estimates,
         **run,
         "wall_clock_sec": wall,
+        "timings": {"read_s": t_fit - t_read, "fit_s": t_write - t_fit, "write_s": t_end - t_write},
         "seed": args.seed,
         "config": {
             k: v

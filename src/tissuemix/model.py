@@ -19,6 +19,7 @@ vector of interest is K (length N-1), completed by 1 - sum(K).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,8 +32,10 @@ __all__ = [
     "ExpressionProfile",
     "HyperParams",
     "ModelParams",
+    "ProfileClasses",
     "RawRecord",
     "default_hyperparams",
+    "from_raw",
     "full_weights",
     "marginal_loglik",
     "random_profiles",
@@ -44,8 +47,8 @@ __all__ = [
 REFERENCE_LAMBDA_INV = np.array([[0.01, 0.005], [0.005, 0.008]])
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -122,6 +125,69 @@ class Dataset:
         """Working dimension N-1."""
         return self.D.shape[1]
 
+    @cached_property
+    def classes(self) -> ProfileClasses:
+        """The genes grouped by their D row, computed on first use."""
+        return ProfileClasses.of(self)
+
+
+@dataclass(frozen=True)
+class ProfileClasses:
+    """The genes of a Dataset grouped by their difference profile D_i.
+
+    Genes that share a D row share every per-gene quantity of the model
+    but their reading, so EM and the marginal log-likelihood need the data
+    only through each class's count n_c, mean xbar_c of x_i = r_i - mu_i
+    and centred sum of squares ss_c = sum (x_i - xbar_c)^2. With
+    y_i = x_i - D_c^T K, the class sum of y_i^2 is then
+    ss_c + n_c (xbar_c - D_c^T K)^2, which, unlike sums of x and x^2, does
+    not cancel when the readings sit far from zero.
+    Binary profiles of N networks give at most 2^N - 1 classes;
+    real-valued profiles give one class per gene, on the same path.
+
+    The classes come in lexicographic order of the D rows, and each class
+    sums its x sorted by value, so every figure is bit-identical under
+    any permutation of the genes. Immutable and safe to share.
+    """
+
+    D: np.ndarray  # (C, d) distinct D rows
+    index: np.ndarray  # (V,) class of each gene
+    n: np.ndarray  # (C,) genes per class, as floats
+    xbar: np.ndarray  # (C,)
+    ss: np.ndarray  # (C,)
+
+    @classmethod
+    def of(cls, ds: Dataset) -> ProfileClasses:
+        # one sort orders the genes by D row (first column first, as
+        # np.unique(axis=0) does) and by x within each row
+        x = ds.r - ds.mu
+        order = np.lexsort((x, *ds.D.T[::-1]))
+        D = ds.D[order]
+        first = np.ones(ds.V, dtype=bool)
+        first[1:] = np.any(D[1:] != D[:-1], axis=1)
+        starts = np.flatnonzero(first)
+        counts = np.diff(np.append(starts, ds.V))
+        index = np.empty(ds.V, dtype=np.intp)
+        index[order] = np.cumsum(first) - 1
+        xs = x[order]
+        xbar = np.add.reduceat(xs, starts) / counts
+        ss = np.add.reduceat((xs - np.repeat(xbar, counts)) ** 2, starts)
+        return cls(
+            D=_freeze(D[starts]),
+            index=_freeze(index, np.intp),
+            n=_freeze(counts),
+            xbar=_freeze(xbar),
+            ss=_freeze(ss),
+        )
+
+    @property
+    def C(self) -> int:
+        return self.D.shape[0]
+
+    @property
+    def V(self) -> int:
+        return self.index.shape[0]
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -185,11 +251,14 @@ def transform(records) -> Dataset:
     for i, rec in enumerate(records):
         if rec.profile.n_networks != n:
             raise ValueError(f"record {i} has {rec.profile.n_networks} networks, expected {n}")
-    r = np.array([rec.r for rec in records])
-    d = np.stack([rec.profile.d for rec in records])
+    return from_raw(np.array([rec.r for rec in records]), np.stack([rec.profile.d for rec in records]))
+
+
+def from_raw(r: np.ndarray, d: np.ndarray) -> Dataset:
+    """Build the working Dataset from readings r (V,) and raw profiles d (V, N)."""
     mu = d[:, -1].copy()
     D = d[:, :-1] - mu[:, None]
-    return Dataset(r=r, mu=mu, D=D, n_networks=n)
+    return Dataset(r=r, mu=mu, D=D, n_networks=d.shape[1])
 
 
 def untransform(ds: Dataset) -> np.ndarray:
@@ -273,21 +342,20 @@ def synth_generate(rng: RngStream, truth: ModelParams, profiles) -> Dataset:
     return Dataset(r=r, mu=ds0.mu, D=ds0.D, n_networks=ds0.n_networks)
 
 
-def _marginal_sd2(ds: Dataset, p: ModelParams) -> np.ndarray:
-    lam_inv = linalg.inverse_batched(p.Lam)
-    return 1.0 / p.rho + np.einsum("vd,de,ve->v", ds.D, lam_inv, ds.D)
-
-
 def marginal_loglik(ds: Dataset, p: ModelParams) -> float:
     """Log-likelihood with the per-gene latent weights integrated out.
 
     Each gene contributes log N(r_i | D_i^T K + mu_i, 1/rho + D_i^T
-    Lambda^-1 D_i). This is the ascent target of the EM iteration.
+    Lambda^-1 D_i). This is the ascent target of the EM iteration. The
+    sum is taken per profile class (Dataset.classes): the genes of class c
+    share s2_c = 1/rho + D_c^T Lambda^-1 D_c, and their squared residuals
+    sum to ss_c + n_c (xbar_c - D_c^T K)^2.
     """
-    s2 = _marginal_sd2(ds, p)
-    resid = ds.r - ds.mu - ds.D @ p.K
-    terms = -0.5 * (np.log(2.0 * np.pi * s2) + resid**2 / s2)
-    return float(linalg.reduce_sum(terms))
+    cl = ds.classes
+    s2 = 1.0 / p.rho + np.einsum("cd,de,ce->c", cl.D, linalg.inverse_batched(p.Lam), cl.D)
+    ybar = cl.xbar - cl.D @ p.K
+    terms = cl.n * np.log(2.0 * np.pi * s2) + (cl.ss + cl.n * ybar**2) / s2
+    return -0.5 * float(np.sum(terms))
 
 
 class BetaGaussian:
@@ -303,10 +371,11 @@ class BetaGaussian:
         D_i^T Sigma_i D_i = s_i / (1 + rho s_i)
 
     where x_i = r_i - mu_i and m0 = A Lambda K is the mean of a gene
-    whose profile carries no information (D_i = 0). VB, EM and Gibbs all
-    take their beta block from here, so none of them builds, inverts or
-    factors a d x d matrix per gene; cov() materializes the (V, d, d)
-    covariances only for the callers that store or sum them.
+    whose profile carries no information (D_i = 0). VB and Gibbs take
+    their beta block from here gene by gene, and EM once per profile class
+    (D holds the class rows), so none of them builds, inverts or factors a
+    d x d matrix per gene; cov() materializes the (V, d, d) covariances
+    only for the callers that store or sum them.
     """
 
     def __init__(self, A: np.ndarray, rho: float, D: np.ndarray):

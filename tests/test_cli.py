@@ -91,6 +91,28 @@ class TestSynth:
         cli.write_dataset_csv(str(back), ds)
         assert back.read_bytes() == synth_file.read_bytes()
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "r,d_1,d_2,d_3\n0.5,1,0,0\n0.25,0,1\n",  # one short row
+            "r,d_1,d_2,d_3\n0.5,1,0,0,1\n",  # one long row
+            "r,d_1,d_2,d_3\n0.5,1,0\n0.25,0,1\n",  # every row short
+            "r,d_1,d_2,d_3\nnan,1,0,0\n",
+            "r,d_1,d_2,d_3\n0.5,1,inf,0\n",
+            "r,d_1,d_2,d_3\n0.5,1,x,0\n",
+            "r,d_1,d_2,d_3\n",  # header only
+            "r,d_1\n0.5,1\n",  # one network
+            "",
+        ],
+    )
+    def test_malformed_dataset_is_usage_error(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ValueError):
+            cli.read_dataset_csv(str(path))
+        rc = run(["fit", "--method", "em", "--dataset", str(path), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_USAGE
+
     def test_inconsistent_networks_flag(self, tmp_path):
         rc = run(
             ["synth", "--genes", "10", "--true-k", "0.1,0.3", "--networks", "4", "--out", str(tmp_path / "x.csv")]
@@ -217,11 +239,30 @@ class TestFit:
         assert (outs[0] / "samples.csv").read_bytes() == (outs[1] / "samples.csv").read_bytes()
         r1 = read_json(outs[0] / "report.json")
         r2 = read_json(outs[1] / "report.json")
-        r1.pop("wall_clock_sec")
-        r2.pop("wall_clock_sec")
+        for r in (r1, r2):
+            r.pop("wall_clock_sec")
+            r.pop("timings")
         # the echoed config carries the out dir, which legitimately differs
         assert r1["config"].pop("out") != r2["config"].pop("out")
         assert r1 == r2
+
+    @pytest.mark.parametrize("method", ["vb", "em", "gibbs"])
+    def test_report_times_read_fit_and_write(self, synth_file, tmp_path, method):
+        out = tmp_path / method
+        extra = {"vb": ["--samples", "50", "--max-iter", "20"], "em": ["--max-iter", "5"],
+                 "gibbs": ["--iterations", "10"]}[method]
+        rc = run(["fit", "--method", method, "--dataset", str(synth_file), "--out", str(out)] + extra)
+        assert rc == 0
+        report = read_json(out / "report.json")
+        timings = report["timings"]
+        assert sorted(timings) == ["fit_s", "read_s", "write_s"]
+        for value in timings.values():
+            assert isinstance(value, float) and value >= 0.0
+        if method == "em":
+            want = len(np.unique(cli.read_dataset_csv(str(synth_file)).D, axis=0))
+            assert report["profile_classes"] == want == 7
+        else:
+            assert "profile_classes" not in report
 
     def test_config_echo_is_rerunnable(self, synth_file, tmp_path):
         out = tmp_path / "echo"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -150,3 +152,73 @@ class TestFit:
         _, trace = em.em_fit(ds, init_params(hp), max_iter=5, rel_tol=0.0)
         assert not trace.converged and trace.stop_reason == "max_iter"
         assert len(trace) == 5
+
+
+def per_gene_step(params, ds):
+    """One EM step gene by gene from BetaGaussian, with no class grouping."""
+    q = model.BetaGaussian(np.linalg.inv(params.Lam), params.rho, ds.D)
+    x = ds.r - ds.mu
+    M = q.mean(params.K, x)
+    Sigma = q.cov()
+    S = (x - np.einsum("vi,vi->v", ds.D, M)) ** 2 + q.quad()
+    V = ds.V
+    K = np.array([math.fsum(col) for col in M.T]) / V
+    dev = M - K
+    lam_inv = (dev.T @ dev + Sigma.sum(axis=0)) / V
+    lam = np.linalg.inv(0.5 * (lam_inv + lam_inv.T))
+    return model.ModelParams(K=K, Lam=0.5 * (lam + lam.T), rho=V / math.fsum(S)), Sigma, M, S
+
+
+def binary_dataset():
+    return make_dataset(300, seed=42)[0]
+
+
+def real_valued_dataset():
+    rng = RngStream(43)
+    profiles = [model.ExpressionProfile(row) for row in rng.uniforms(200 * 3).reshape(200, 3)]
+    truth = model.ModelParams(K=np.array([0.1, 0.3]), Lam=reference_lambda(), rho=100.0)
+    return model.synth_generate(rng, truth, profiles)
+
+
+def constant_dataset():
+    # all-zero and all-one profiles: different mu, the same D row (0, 0)
+    rng = RngStream(44)
+    bits = rng.uniforms(150) < 0.5
+    profiles = [model.ExpressionProfile(np.full(3, float(b))) for b in bits]
+    truth = model.ModelParams(K=np.array([0.1, 0.3]), Lam=reference_lambda(), rho=100.0)
+    return model.synth_generate(rng, truth, profiles)
+
+
+class TestClassSums:
+    @pytest.mark.parametrize(
+        "make, classes",
+        [(binary_dataset, 7), (real_valued_dataset, 200), (constant_dataset, 1)],
+        ids=["binary", "real-valued", "constant"],
+    )
+    def test_step_matches_per_gene_computation(self, make, classes):
+        ds = make()
+        assert ds.classes.C == classes
+        p0 = model.ModelParams(K=np.array([0.2, 0.25]), Lam=0.7 * reference_lambda(), rho=40.0)
+        state = em.EmState(params=p0, Sigma=np.empty(0), M=np.empty(0), S=np.empty(0))
+        new = em.em_step(state, ds)
+        want, Sigma, M, S = per_gene_step(p0, ds)
+        np.testing.assert_allclose(new.Sigma, Sigma, rtol=1e-12)
+        np.testing.assert_allclose(new.M, M, rtol=1e-12)
+        np.testing.assert_allclose(new.S, S, rtol=1e-12)
+        np.testing.assert_allclose(new.params.K, want.K, rtol=1e-12)
+        np.testing.assert_allclose(new.params.Lam, want.Lam, rtol=1e-12)
+        assert new.params.rho == pytest.approx(want.rho, rel=1e-12)
+
+    @pytest.mark.parametrize("make", [binary_dataset, real_valued_dataset], ids=["binary", "real-valued"])
+    def test_fit_bit_identical_under_gene_permutation(self, make):
+        ds = make()
+        perm = np.random.default_rng(5).permutation(ds.V)
+        ds_p = model.Dataset(r=ds.r[perm], mu=ds.mu[perm], D=ds.D[perm], n_networks=3)
+        hp = model.default_hyperparams(3)
+        p1, t1 = em.em_fit(ds, init_params(hp), max_iter=80, rel_tol=0.0)
+        p2, t2 = em.em_fit(ds_p, init_params(hp), max_iter=80, rel_tol=0.0)
+        assert np.array_equal(p1.K, p2.K)
+        assert np.array_equal(p1.Lam, p2.Lam)
+        assert p1.rho == p2.rho
+        assert np.array_equal(t1.loglik, t2.loglik)
+        assert np.array_equal(t1.K, t2.K) and np.array_equal(t1.rho, t2.rho)

@@ -281,3 +281,38 @@ class TestValidation:
     def test_record_rejects_nonfinite_reading(self):
         with pytest.raises(ValueError):
             model.RawRecord(np.inf, profile(1, 0))
+
+
+def per_gene_loglik(ds, p):
+    """The marginal log-likelihood summed gene by gene, with no class grouping."""
+    s2 = 1.0 / p.rho + np.einsum("vd,de,ve->v", ds.D, np.linalg.inv(p.Lam), ds.D)
+    resid = ds.r - ds.mu - ds.D @ p.K
+    return math.fsum(-0.5 * (np.log(2.0 * np.pi * s2) + resid**2 / s2))
+
+
+class TestMarginalLoglikClassSums:
+    def test_real_valued_profiles_match_per_gene_sum(self):
+        rng = RngStream(16)
+        profiles = [model.ExpressionProfile(row) for row in rng.uniforms(300 * 3).reshape(300, 3)]
+        truth = model.ModelParams(K=np.array([0.1, 0.3]), Lam=reference_lambda(), rho=100.0)
+        ds = model.synth_generate(rng, truth, profiles)
+        assert ds.classes.C == ds.V
+        p = model.ModelParams(K=np.array([0.15, 0.2]), Lam=0.5 * reference_lambda(), rho=60.0)
+        want = per_gene_loglik(ds, p)
+        assert model.marginal_loglik(ds, p) == pytest.approx(want, rel=1e-13)
+
+    def test_centred_class_sums_do_not_cancel(self):
+        # thousands of genes per class whose readings sit far from zero and
+        # close to D_c^T K: sums of x and x^2 would lose about 7 digits here
+        ds, truth = make_dataset(20000, seed=15, K=[3000.0, -2000.0])
+        ds = model.Dataset(r=ds.r + 1e4, mu=ds.mu + 1e4, D=ds.D, n_networks=3)
+        cl = ds.classes
+        assert cl.C == 7 and cl.n.min() > 2000
+        want = per_gene_loglik(ds, truth)
+        assert model.marginal_loglik(ds, truth) == pytest.approx(want, rel=1e-13)
+
+        x = ds.r - ds.mu
+        t = cl.D @ truth.K
+        raw = np.bincount(cl.index, x * x) - 2.0 * t * np.bincount(cl.index, x) + cl.n * t * t
+        centred = cl.ss + cl.n * (cl.xbar - t) ** 2
+        assert np.max(np.abs(raw - centred) / centred) > 1e-9
